@@ -41,7 +41,6 @@ from .detline import (
     DetLineElement,
     Frame,
     canonical_element,
-    element_from_product,
     exact_sequence_iso,
     push_forward,
     rebase_products,

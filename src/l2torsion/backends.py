@@ -22,9 +22,9 @@ frames) works fiberwise on that picture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -369,12 +369,18 @@ class Morphism:
         )
 
     def standardized_blocks(self) -> list:
-        """Blocks rewritten in orthonormal coordinates of both products."""
+        """Blocks rewritten in orthonormal coordinates of both products.
+
+        A fiber with standard products on both sides returns its own block
+        (not a copy); callers must not write into the result.
+        """
         out = []
         for f, b in enumerate(self.blocks):
-            st = self.target.std_factor(f)
-            ss = self.source.std_factor(f)
-            out.append(st @ b @ np.linalg.inv(ss))
+            if self.target.products[f] is not None:
+                b = self.target.std_factor(f) @ b
+            if self.source.products[f] is not None:
+                b = b @ np.linalg.inv(self.source.std_factor(f))
+            out.append(b)
         return out
 
     def group_ring_coefficients(self) -> np.ndarray:
@@ -510,31 +516,6 @@ def direct_sum_morphisms(f: Morphism, g: Morphism) -> Morphism:
     return Morphism(src, tgt, tuple(blocks))
 
 
-def block_morphism(rows, source: HObject, target: HObject, splits_s, splits_t) -> Morphism:
-    """Assemble a morphism from a 2D grid of fiberwise blocks.
-
-    ``rows[i][j]`` is a Morphism (or None for zero) mapping summand j of the
-    source decomposition to summand i of the target decomposition;
-    ``splits_*`` give the per-fiber dimension lists of the summands.
-    """
-    nf = len(source.dims)
-    blocks = []
-    for f in range(nf):
-        blk = np.zeros((target.dims[f], source.dims[f]), dtype=complex)
-        r0 = 0
-        for i, row in enumerate(rows):
-            c0 = 0
-            for j, entry in enumerate(row):
-                dt = splits_t[i][f]
-                ds = splits_s[j][f]
-                if entry is not None:
-                    blk[r0 : r0 + dt, c0 : c0 + ds] = entry.blocks[f]
-                c0 += ds
-            r0 += splits_t[i][f]
-        blocks.append(blk)
-    return Morphism(source, target, tuple(blocks))
-
-
 # ---------------------------------------------------------------------------
 # subobjects and frames
 
@@ -568,7 +549,8 @@ class SubObject:
         """Orthogonal projection ambient -> space (adjoint of include)."""
         blocks = []
         for f, v in enumerate(self.frames):
-            blocks.append(v.conj().T @ self.ambient.product_matrix(f))
+            p = self.ambient.products[f]
+            blocks.append(v.conj().T if p is None else v.conj().T @ p)
         return Morphism(self.ambient, self.space, tuple(blocks))
 
     def compress(self, m: Morphism, source_sub: "SubObject") -> Morphism:
@@ -578,9 +560,11 @@ class SubObject:
 
 def full_subobject(obj: HObject) -> SubObject:
     frames = []
-    for f in range(len(obj.dims)):
-        s = obj.std_factor(f)
-        frames.append(np.linalg.inv(s))
+    for f, (d, p) in enumerate(zip(obj.dims, obj.products)):
+        if p is None:
+            frames.append(np.eye(d, dtype=complex))
+        else:
+            frames.append(np.linalg.inv(obj.std_factor(f)))
     return SubObject(obj, tuple(frames))
 
 
@@ -588,8 +572,9 @@ def subobject_from_std_frames(obj: HObject, std_frames) -> SubObject:
     """Build a SubObject from frames orthonormal in standardized coordinates."""
     frames = []
     for f, v in enumerate(std_frames):
-        s = obj.std_factor(f)
-        frames.append(np.linalg.solve(s, v) if obj.products[f] is not None else v)
+        if obj.products[f] is not None:
+            v = np.linalg.solve(obj.std_factor(f), v)
+        frames.append(v)
     return SubObject(obj, tuple(frames))
 
 
@@ -597,11 +582,14 @@ def orthocomplement(sub: SubObject) -> SubObject:
     obj = sub.ambient
     std_frames = []
     for f, v in enumerate(sub.frames):
-        s = obj.std_factor(f)
-        vt = s @ v  # orthonormal in std coords
+        # orthonormal in std coords
+        vt = v if obj.products[f] is None else obj.std_factor(f) @ v
         d = obj.dims[f]
         if vt.shape[1] == 0:
             std_frames.append(np.eye(d, dtype=complex))
+            continue
+        if vt.shape[1] >= d:
+            std_frames.append(np.zeros((d, 0), dtype=complex))
             continue
         # columns of the full unitary not in span(vt)
         q, _ = np.linalg.qr(np.hstack([vt, np.eye(d, dtype=complex)]))
@@ -610,33 +598,55 @@ def orthocomplement(sub: SubObject) -> SubObject:
     return subobject_from_std_frames(obj, std_frames)
 
 
-def _fiber_rank_split(bstd: np.ndarray, tol: float, scale: float = 0.0):
-    """SVD split of a standardized block: (rank, U, s, Vh)."""
-    if min(bstd.shape) == 0:
-        return 0, np.eye(bstd.shape[0]), np.zeros(0), np.eye(bstd.shape[1])
-    u, s, vh = np.linalg.svd(bstd)
-    cut = tol * max(s[0] if len(s) else 0.0, scale)
-    rank = int(np.sum(s > cut)) if cut > 0 else 0
-    return rank, u, s, vh
+def uniform_stack(blocks) -> np.ndarray | None:
+    """The blocks as one stacked array when they share a nonempty shape."""
+    shapes = {b.shape for b in blocks}
+    if len(shapes) == 1 and min(next(iter(shapes))) > 0:
+        return np.stack(blocks)
+    return None
+
+
+def fiber_svds(f: Morphism, tol: float = DEFAULT_RANK_TOL, scale=0.0) -> list:
+    """Full SVD of each standardized block with its rank: [(rank, U, s, Vh)].
+
+    Singular values at or below tol * max(largest singular value of the
+    fiber, scale) count as zero; ``scale`` (a scalar, or one value per
+    fiber) supplies an extra reference magnitude so that a map which is
+    negligible relative to its surroundings is treated as zero. Scales are
+    applied per fiber so that a Family fiber with genuinely tiny but
+    meaningful entries is never truncated against an unrelated fiber's
+    magnitude. Fibers of one common nonempty shape are decomposed in one
+    batched call.
+    """
+    scales = np.broadcast_to(np.asarray(scale, float), (len(f.blocks),))
+    blocks = f.standardized_blocks()
+    stacked = uniform_stack(blocks)
+    if stacked is not None:
+        svds = zip(*np.linalg.svd(stacked))
+    else:
+        svds = (
+            np.linalg.svd(b) if min(b.shape) else
+            (np.eye(b.shape[0]), np.zeros(0), np.eye(b.shape[1]))
+            for b in blocks
+        )
+    out = []
+    for (u, s, vh), sc in zip(svds, scales):
+        cut = tol * max(s[0] if len(s) else 0.0, sc)
+        rank = int(np.sum(s > cut)) if cut > 0 else 0
+        out.append((rank, u, s, vh))
+    return out
 
 
 def kernel_and_image_closure(
     f: Morphism, tol: float = DEFAULT_RANK_TOL, scale=0.0
 ):
-    """Orthonormal frames for ker f and cl(im f), fiberwise.
+    """Orthonormal frames for ker f and cl(im f), fiberwise, with the rank
+    decision of :func:`fiber_svds`.
 
-    Singular values below tol * (largest singular value of the fiber) count
-    as zero; ``scale`` (a scalar, or one value per fiber) supplies an extra
-    reference magnitude so that a map which is negligible relative to its
-    surroundings is treated as zero. Scales are applied per fiber so that a
-    Family fiber with genuinely tiny but meaningful entries is never
-    truncated against an unrelated fiber's magnitude.
     Returns (kernel SubObject, image-closure SubObject).
     """
-    scales = np.broadcast_to(np.asarray(scale, float), (len(f.blocks),))
     ker_std, im_std = [], []
-    for fi, bstd in enumerate(f.standardized_blocks()):
-        rank, u, s, vh = _fiber_rank_split(bstd, tol, float(scales[fi]))
+    for rank, u, _, vh in fiber_svds(f, tol, scale):
         ker_std.append(vh[rank:].conj().T)
         im_std.append(u[:, :rank])
     kernel = subobject_from_std_frames(f.source, ker_std)

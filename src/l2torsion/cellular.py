@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backends import (
-    CategoryBackend,
-    BackendKind,
     HObject,
     Morphism,
     circle_samples,
@@ -32,16 +30,14 @@ from .backends import (
     matrix_backend,
     matrix_object,
 )
-from .detline import DetLineElement
 from .errors import (
     InputValidationError,
     NotAChainComplexError,
     NotUnimodularError,
-    ShapeMismatchError,
     UnsupportedCellError,
 )
 from .extcoh import ChainComplexC
-from .spectral import log_fk_det, singular_density
+from .spectral import singular_density
 from .torsion import TorsionReport, complex_det_element, torsion
 
 
@@ -539,14 +535,6 @@ def circle_complex_two_cells() -> CellComplex:
         "a": (("v1", ((0, 1),)), ("v0", ((0, -1),))),
         "b": (("v0", ((1, 1),)), ("v1", ((0, -1),))),
     }
-    return CellComplex(cells, boundaries, pi)
-
-
-def circle_complex_finite(p: int) -> CellComplex:
-    """Circle with the p-fold cover structure group: pi = Z/p, edge (t - 1)v."""
-    pi = finite_pi(cyclic_group_table(p))
-    cells = {"v": 0, "e": 1}
-    boundaries = {"e": (("v", ((1, 1), (0, -1))),)}
     return CellComplex(cells, boundaries, pi)
 
 

@@ -17,7 +17,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -46,7 +46,7 @@ from .serialize import (
     representation_to_json,
     verdict_to_json,
 )
-from .spectral import fk_det_extended, singular_density, tau_isomorphism_test
+from .spectral import fk_det_extended, singular_density
 
 log = logging.getLogger("l2torsion")
 
@@ -76,7 +76,7 @@ class RunConfig:
             raise InputValidationError("tolerances must be positive")
         if self.grid is not None and self.grid < 8:
             raise InputValidationError("grid size must be at least 8")
-        if self.epsilon is not None and self.epsilon <= 0:
+        if self.epsilon is not None and not self.epsilon > 0:
             raise InputValidationError("epsilon must be positive")
 
     def header(self) -> dict:

@@ -18,7 +18,7 @@ reduce to bookkeeping on the log-coefficient:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,9 +26,7 @@ from .backends import (
     DEFAULT_RANK_TOL,
     HObject,
     Morphism,
-    adjoint,
     compose,
-    direct_sum_objects,
     kernel_and_image_closure,
 )
 from .errors import (
@@ -36,7 +34,7 @@ from .errors import (
     NotExactError,
     ShapeMismatchError,
 )
-from .spectral import fk_det_extended, log_fk_det, singular_density
+from .spectral import fk_det_extended, singular_density
 
 
 @dataclass(eq=False)
@@ -199,23 +197,19 @@ def canonical_element(f: Morphism, labels=("source", "target")) -> DetLineElemen
     return DetLineElement(word, log_det)
 
 
-def element_from_product(obj: HObject, label: str = "frame") -> DetLineElement:
-    """The class of the object's own product, coefficient 1, in its own frame."""
-    return standard_element(obj, label)
-
-
 def orthogonal_section(beta: Morphism, tol: float = DEFAULT_RANK_TOL) -> Morphism:
     """Right inverse of a surjection landing in the orthocomplement of ker."""
     blocks = []
-    for i, b in enumerate(beta.blocks):
-        st = beta.target.std_factor(i)
-        ss = beta.source.std_factor(i)
-        bstd = st @ b @ np.linalg.inv(ss)
+    for i, bstd in enumerate(beta.standardized_blocks()):
         if min(bstd.shape) == 0:
-            blocks.append(np.zeros((b.shape[1], b.shape[0]), dtype=complex))
+            blocks.append(np.zeros((bstd.shape[1], bstd.shape[0]), dtype=complex))
             continue
-        pinv = np.linalg.pinv(bstd, rcond=tol)
-        blocks.append(np.linalg.solve(ss, pinv @ st))
+        g = np.linalg.pinv(bstd, rcond=tol)
+        if beta.target.products[i] is not None:
+            g = g @ beta.target.std_factor(i)
+        if beta.source.products[i] is not None:
+            g = np.linalg.solve(beta.source.std_factor(i), g)
+        blocks.append(g)
     return Morphism(beta.target, beta.source, tuple(blocks))
 
 
@@ -315,8 +309,3 @@ def exact_sequence_iso(
         raise ShapeMismatchError(f"no frame labelled {total_label!r} in element")
     return DetLineElement(tuple(word), log_coeff)
 
-
-def twisted_exact_sequence_factor(h: Morphism) -> float:
-    """Log of the factor relating the sequence iso of (h a, b h^-1) to that of
-    (a, b): the inverse determinant of the middle automorphism h."""
-    return -log_fk_det(h)

@@ -13,20 +13,8 @@ class BackendMismatchError(L2TorsionError):
     """Operands live over different category backends."""
 
 
-class NotInvertibleError(L2TorsionError):
-    """Operator is singular below the working tolerance."""
-
-
 class NotSelfAdjointError(L2TorsionError):
     """Operator fails the self-adjointness check."""
-
-
-class NotInjectiveError(L2TorsionError):
-    """Morphism has a nonzero kernel where injectivity is required."""
-
-
-class NotDenseImageError(L2TorsionError):
-    """Morphism image closure is a proper subobject of the target."""
 
 
 class NotAChainComplexError(L2TorsionError):

@@ -14,8 +14,7 @@ torsion part to have a convergent log spectral moment.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .backends import (
 from .detline import (
     DetLineElement,
     Frame,
-    check_exactness,
     exact_sequence_iso,
     rebase_products,
 )
@@ -54,7 +52,6 @@ from .spectral import (
     classify_determinant,
     ns_exponent,
     singular_density,
-    spectral_density,
 )
 
 

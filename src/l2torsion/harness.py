@@ -33,7 +33,6 @@ from .extcoh import ChainComplexC
 from .spectral import (
     fk_det_extended,
     log_fk_det,
-    singular_density,
     tau_isomorphism_test,
 )
 from .torsion import (

@@ -25,7 +25,6 @@ from .backends import (
 )
 from .cellular import (
     CellComplex,
-    PiSpec,
     Representation,
     circle_regular_representation,
     finite_pi,

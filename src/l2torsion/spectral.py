@@ -19,10 +19,8 @@ import numpy as np
 
 from .backends import (
     DEFAULT_RANK_TOL,
-    HObject,
     Morphism,
-    adjoint,
-    compose,
+    uniform_stack,
 )
 from .errors import NotSelfAdjointError, ShapeMismatchError
 
@@ -89,17 +87,10 @@ class SpectralDensity:
         return SpectralDensity(self.values[sel], self.masses[sel], 0.0, mass)
 
 
-def _uniform_stack(blocks) -> np.ndarray | None:
-    shapes = {b.shape for b in blocks}
-    if len(shapes) == 1 and min(next(iter(shapes))) > 0:
-        return np.stack(blocks)
-    return None
-
-
 def _fiber_singulars(f: Morphism) -> list:
     """Singular values of the standardized blocks, fiberwise (batched if uniform)."""
     blocks = f.standardized_blocks()
-    stacked = _uniform_stack(blocks)
+    stacked = uniform_stack(blocks)
     if stacked is not None:
         return list(np.linalg.svd(stacked, compute_uv=False))
     out = []
@@ -144,7 +135,7 @@ def spectral_density(
                 np.linalg.norm(b), 1.0
             ):
                 raise NotSelfAdjointError("operator is not self-adjoint")
-    stacked = _uniform_stack(blocks)
+    stacked = uniform_stack(blocks)
     if stacked is not None:
         eigs = list(np.linalg.eigvalsh(stacked))
     else:

@@ -6,7 +6,9 @@ computation splits the complex at a spectral cut epsilon of the Laplacians:
 the part above epsilon is strictly acyclic and contributes a closed-form
 log-determinant; the part below epsilon carries the kernel and the
 near-zero spectrum and goes through nu degree by degree. The combined
-element does not depend on the cut.
+element does not depend on the cut. Both parts, the cut and the verdicts
+are read off one Hodge decomposition of the complex: one SVD of each
+differential on each fiber.
 
 No determinant-class assumption is made anywhere: degrees whose torsion
 part has a divergent (or inconclusive) spectral certificate simply keep
@@ -26,8 +28,8 @@ from .backends import (
     Morphism,
     SubObject,
     compose,
+    fiber_svds,
     full_subobject,
-    kernel_and_image_closure,
     orthocomplement,
     subobject_from_std_frames,
     zero_morphism,
@@ -46,16 +48,11 @@ from .errors import (
     NotAChainMapError,
     NotAcyclicError,
 )
-from .extcoh import (
-    ChainComplexC,
-    CohomologyProfile,
-    cohomology,
-    determinant_class_test,
-    zero_object,
-)
+from .extcoh import ChainComplexC, zero_object
 from .spectral import (
+    DetClassVerdict,
+    SpectralDensity,
     classify_determinant,
-    singular_density,
     spectral_density,
 )
 
@@ -74,14 +71,11 @@ def complex_det_element(
 def _sub_within(outer: SubObject, inner: SubObject) -> SubObject:
     """Orthocomplement of ``inner`` inside ``outer`` (inner must sit in outer)."""
     coords = []
-    for f in range(len(outer.frames)):
-        p = outer.ambient.product_matrix(f)
-        coords.append(outer.frames[f].conj().T @ p @ inner.frames[f])
-    inner_in_outer = SubObject(outer.space, tuple(coords))
-    comp = orthocomplement(inner_in_outer)
-    frames = tuple(
-        outer.frames[f] @ comp.frames[f] for f in range(len(outer.frames))
-    )
+    for f, (v, w) in enumerate(zip(outer.frames, inner.frames)):
+        p = outer.ambient.products[f]
+        coords.append(v.conj().T @ (w if p is None else p @ w))
+    comp = orthocomplement(SubObject(outer.space, tuple(coords)))
+    frames = tuple(v @ u for v, u in zip(outer.frames, comp.frames))
     return SubObject(outer.ambient, frames)
 
 
@@ -89,39 +83,117 @@ def _zero_sub(obj: HObject) -> SubObject:
     return SubObject(obj, tuple(np.zeros((d, 0), complex) for d in obj.dims))
 
 
+def _density(values: list, weights: np.ndarray) -> SpectralDensity:
+    """Trace-weighted density of per-fiber positive values, no kernel mass."""
+    masses = np.repeat(weights, [len(v) for v in values])
+    return SpectralDensity(np.concatenate(values), masses, 0.0, float(masses.sum()))
+
+
 @dataclass
 class HodgeSplit:
-    """Per-degree orthogonal decomposition C^i = Harm (+) cl(im d) (+) W."""
+    """Per-degree orthogonal decomposition C^i = Harm (+) cl(im d) (+) W,
+    read off one fiberwise SVD of each differential.
+
+    With d_i standardized on fiber f as U diag(s) Vh and its first r
+    singular values kept by the rank cut, W^i is spanned by the leading r
+    rows of Vh, ker d_i by the trailing rows, and cl(im d_i) by the leading
+    r columns of U. In these frames the restricted differential
+    W^i -> cl(im d_i) is diag(s[:r]): column j of ``coexact[i]`` goes to
+    ``singular[i][f][j]`` times column j of ``boundaries[i + 1]``. The
+    nonzero Laplacian eigenvalues of the complex are the squares of
+    ``singular``.
+    """
 
     harmonic: list
     boundaries: list  # boundaries[i] = cl(im d_{i-1}) in C^i
     coexact: list  # coexact[i] = W^i = (ker d_i)^perp
-    restricted: list  # restricted[i] = d_i co/restricted W^i -> cl(im d_i)
-    verdicts: list  # certificate for each restricted map
+    singular: list  # singular[i][f] = kept singular values of d_i, descending
+    verdicts: list  # certificate for each restricted differential
+    weights: np.ndarray  # trace weight of each fiber
 
 
 def hodge_split(c: ChainComplexC, tol: float = DEFAULT_RANK_TOL) -> HodgeSplit:
-    n = c.length
+    split = HodgeSplit([], [], [], [], [], c.backend.fiber_weights)
     scale = c.fiber_scales()
-    kernels, images = [], []
-    for i in range(n - 1):
-        ker, im = kernel_and_image_closure(c.diffs[i], tol, scale)
-        kernels.append(ker)
-        images.append(im)
-    kernels.append(full_subobject(c.objects[-1]) if n else None)
+    split.boundaries.append(_zero_sub(c.objects[0]))
+    for i, d in enumerate(c.diffs):
+        svds = fiber_svds(d, tol, scale)
+        kernel = subobject_from_std_frames(
+            d.source, [vh[r:].conj().T for r, _, _, vh in svds]
+        )
+        split.harmonic.append(_sub_within(kernel, split.boundaries[i]))
+        split.coexact.append(subobject_from_std_frames(
+            d.source, [vh[:r].conj().T for r, _, _, vh in svds]
+        ))
+        split.boundaries.append(
+            subobject_from_std_frames(d.target, [u[:, :r] for r, u, _, _ in svds])
+        )
+        kept = [s[:r] for r, _, s, _ in svds]
+        split.singular.append(kept)
+        split.verdicts.append(classify_determinant(_density(kept, split.weights)))
+    last = c.objects[-1]
+    split.harmonic.append(_sub_within(full_subobject(last), split.boundaries[-1]))
+    split.coexact.append(_zero_sub(last))
+    return split
 
-    harmonic, boundaries, coexact, restricted, verdicts = [], [], [], [], []
-    for i in range(n):
-        bd = images[i - 1] if i > 0 else _zero_sub(c.objects[i])
-        boundaries.append(bd)
-        harmonic.append(_sub_within(kernels[i], bd))
-        w = orthocomplement(kernels[i])
-        coexact.append(w)
-        if i < n - 1:
-            m = images[i].compress(c.diffs[i], w)
-            restricted.append(m)
-            verdicts.append(classify_determinant(singular_density(m, tol)))
-    return HodgeSplit(harmonic, boundaries, coexact, restricted, verdicts)
+
+def _harmonic_word(split: HodgeSplit, prefix: str) -> list:
+    return [
+        (Frame(h.space, f"{prefix}{i}"), (-1) ** i)
+        for i, h in enumerate(split.harmonic)
+        if h.dim_tau > 0
+    ]
+
+
+def _fold(split: HodgeSplit, values: list, prefix: str) -> tuple:
+    """nu on a part of the split: ``values[i][f]`` are the singular values of
+    d_i on fiber f that the part holds.
+
+    The restricted differential identifies the part's share of W^i with
+    that of cl(im d_i), and the pair cancels out of the determinant word
+    with the pair's extended log-determinant, sign (-1)^(i+1), when it is
+    certified Convergent; otherwise both frames stay in the word. Returns
+    (log-coefficient, word).
+
+    The values get no rank cut of their own: the split's cut,
+    tol * max(largest value of the fiber, fiber scale of the complex), is
+    at least the cut a subcomplex would draw from its own values and scale,
+    so every value would pass it.
+    """
+    log_coeff, word = 0.0, []
+    for i, fibers in enumerate(values):
+        space = HObject(split.coexact[i].ambient.backend, tuple(len(s) for s in fibers))
+        if space.dim_tau <= 0:
+            continue
+        verdict = classify_determinant(_density(fibers, split.weights))
+        if verdict.convergent:
+            log_coeff += (-1) ** (i + 1) * verdict.log_integral
+        else:
+            word.append((Frame(space, f"{prefix}:W{i}"), (-1) ** i))
+            word.append((Frame(space, f"{prefix}:B{i + 1}"), (-1) ** (i + 1)))
+    return log_coeff, word
+
+
+def _rebased_log_coeff(sigma: DetLineElement, c: ChainComplexC) -> float:
+    """Coefficient of sigma against the unit volume element of det(C).
+
+    Each frame of sigma is matched to its degree and rebased from its own
+    products onto the complex's; raises when sigma is not an element of
+    det(C).
+    """
+    log_coeff = sigma.log_coeff
+    matched = [False] * c.length
+    for frame, e in sigma.word:
+        for i, obj in enumerate(c.objects):
+            if not matched[i] and frame.obj.same_space(obj) and e == (-1) ** i:
+                log_coeff += -(e / 2.0) * (frame.log_det_product - obj.log_det_product())
+                matched[i] = True
+                break
+        else:
+            raise L2TorsionError("input element does not match det of the complex")
+    if any(obj.dim_tau > 0 and not m for obj, m in zip(c.objects, matched)):
+        raise L2TorsionError("input element does not match det of the complex")
+    return log_coeff
 
 
 def nu_map(
@@ -145,41 +217,22 @@ def nu_map(
     if sigma is None:
         sigma = complex_det_element(c, in_prefix)
     split = hodge_split(c, tol)
+    log_coeff = _rebased_log_coeff(sigma, c)
+    folded, unfolded = _fold(split, split.singular, out_prefix)
+    word = _harmonic_word(split, out_prefix) + unfolded
+    return DetLineElement(tuple(word), log_coeff + folded)
 
-    # read off the input coefficient, rebasing frames onto the complex's
-    # own products where they differ
-    log_coeff = sigma.log_coeff
-    matched = [False] * c.length
-    for frame, e in sigma.word:
-        hit = False
-        for i, obj in enumerate(c.objects):
-            if not matched[i] and frame.obj.same_space(obj) and e == (-1) ** i:
-                log_coeff += -(e / 2.0) * (
-                    frame.log_det_product - obj.log_det_product()
-                )
-                matched[i] = True
-                hit = True
-                break
-        if not hit:
-            raise L2TorsionError("input element does not match det of the complex")
-    for i, obj in enumerate(c.objects):
-        if obj.dim_tau > 0 and not matched[i]:
-            raise L2TorsionError("input element does not match det of the complex")
 
-    word = []
-    for i in range(c.length):
-        if split.harmonic[i].dim_tau > 0:
-            word.append((Frame(split.harmonic[i].space, f"{out_prefix}{i}"), (-1) ** i))
-    for i, (m, verdict) in enumerate(zip(split.restricted, split.verdicts)):
-        if m.source.dim_tau <= 0:
-            continue
-        if verdict.convergent:
-            # pairing det(W^i)^((-1)^i) with det(B^{i+1})^((-1)^{i+1})
-            log_coeff += (-1) ** (i + 1) * verdict.log_integral
-        else:
-            word.append((Frame(m.source, f"{out_prefix}:W{i}"), (-1) ** i))
-            word.append((Frame(m.target, f"{out_prefix}:B{i + 1}"), (-1) ** (i + 1)))
-    return DetLineElement(tuple(word), log_coeff)
+def _check_formulas(via_laplacian: float, via_svd: float) -> float:
+    """Deviation of the two acyclic torsion formulas; raises above
+    1e-8 * max(1, |Laplacian value|)."""
+    if not math.isclose(via_svd, via_laplacian, rel_tol=0.0,
+                        abs_tol=1e-8 * max(1.0, abs(via_laplacian))):
+        raise L2TorsionError(
+            "Laplacian and restricted-differential torsion formulas disagree: "
+            f"{via_laplacian} vs {via_svd}"
+        )
+    return abs(via_svd - via_laplacian)
 
 
 def torsion_acyclic(
@@ -201,11 +254,7 @@ def torsion_acyclic(
         via_nu = nu_map(c, tol=tol)
         if via_nu.word:
             raise NotAcyclicError("complex is not acyclic within tolerance")
-        if not math.isclose(via_nu.log_coeff, total, rel_tol=0.0, abs_tol=1e-8 * max(1.0, abs(total))):
-            raise L2TorsionError(
-                "Laplacian and restricted-differential torsion formulas disagree: "
-                f"{total} vs {via_nu.log_coeff}"
-            )
+        _check_formulas(total, via_nu.log_coeff)
     return total
 
 
@@ -213,47 +262,80 @@ def torsion_acyclic(
 # epsilon splitting
 
 
-def _laplacian_eigensystems(c: ChainComplexC, tol: float):
-    """Per degree, per fiber (eigenvalues, eigenvectors) of standardized Delta."""
-    systems = []
-    for i in range(c.length):
-        lap = c.laplacian(i)
-        blocks = lap.standardized_blocks()
-        shapes = {b.shape for b in blocks}
-        if len(shapes) == 1 and min(next(iter(shapes))) > 0:
-            vals, vecs = np.linalg.eigh(np.stack(blocks))
-            systems.append([(vals[f], vecs[f]) for f in range(len(blocks))])
-        else:
-            fibers = []
-            for b in blocks:
-                if b.size == 0:
-                    fibers.append((np.zeros(0), np.zeros((b.shape[0], 0), complex)))
-                else:
-                    w, v = np.linalg.eigh(b)
-                    fibers.append((w, v))
-            systems.append(fibers)
-    return systems
+def _laplacian_spectra(split: HodgeSplit, values: list, tol: float) -> list:
+    """Per degree i, the nonzero eigenvalues of Delta_i that the singular
+    values ``values[i][f]`` give (the squares of those of d_{i-1} and d_i),
+    with their fiber indices and whether each clears the cut
+    tol * (largest eigenvalue of Delta_i on its fiber)."""
+    flat = [
+        (np.concatenate(v) ** 2, np.repeat(np.arange(len(v)), [len(s) for s in v]))
+        for v in values
+    ]
+    out = []
+    for i in range(len(split.harmonic)):
+        adjacent = flat[max(i - 1, 0): i + 1]
+        lam = np.concatenate([np.zeros(0)] + [v for v, _ in adjacent])
+        fib = np.concatenate([np.zeros(0, int)] + [f for _, f in adjacent])
+        top = np.zeros(len(split.weights))
+        np.maximum.at(top, fib, lam)
+        out.append((lam, fib, lam > tol * top[fib]))
+    return out
+
+
+def _epsilon(split: HodgeSplit, tol: float) -> float | None:
+    positive = np.concatenate([np.zeros(0)] + [
+        lam[clear] for lam, _, clear in _laplacian_spectra(split, split.singular, tol)
+    ])
+    if not len(positive):
+        return None
+    lo, hi = float(positive.min()), float(positive.max())
+    return max(math.sqrt(lo * hi), hi * 1e-12)
 
 
 def default_epsilon(c: ChainComplexC, tol: float = DEFAULT_RANK_TOL) -> float | None:
     """Geometric mean of the smallest above-threshold and the largest
     Laplacian eigenvalue; None when there is no positive spectrum.
 
-    Clamped from below at 1e-12 times the spectral top: when the spectrum
-    accumulates at zero (the non-determinant-class situation) the geometric
-    mean collapses, and the cut must stay high enough that the upper part
+    The eigenvalues are the squared singular values of the Hodge split;
+    in each degree and fiber those at or below tol times the largest one
+    count as zero, as they would for the Laplacian itself. Clamped from
+    below at 1e-12 times the spectral top: when the spectrum accumulates at
+    zero (the non-determinant-class situation) the geometric mean
+    collapses, and the cut must stay high enough that the upper part
     remains numerically invertible; the near-zero mass belongs to the lower
     part, where it is reported through its certificate instead of a number.
     """
-    lo, hi = math.inf, 0.0
-    for i in range(c.length):
-        density = spectral_density(c.laplacian(i), tol, check=False)
-        if len(density.values):
-            lo = min(lo, density.min_positive())
-            hi = max(hi, density.max_value())
-    if hi <= 0.0:
-        return None
-    return max(math.sqrt(lo * hi), hi * 1e-12)
+    return _epsilon(hodge_split(c, tol), tol)
+
+
+def _split_parts(c: ChainComplexC, split: HodgeSplit, low: list):
+    """The two subcomplexes of the Hodge split for the masks ``low[i][f]``
+    over the singular values of d_i (True for the part at or below epsilon).
+
+    The harmonic part goes to the small side; a co-exact column of C^i and
+    its image column in C^{i+1} go to the side their singular value picks.
+    """
+    none = [np.zeros(0, bool)] * c.backend.n_fibers
+    pad = [none] + low + [none]  # pad[i] selects boundaries[i], pad[i + 1] coexact[i]
+
+    def part(i, small):
+        frames = []
+        for f, h in enumerate(split.harmonic[i].frames):
+            b, w = (pad[i][f], pad[i + 1][f]) if small else (~pad[i][f], ~pad[i + 1][f])
+            frames.append(np.hstack(([h] if small else []) + [
+                split.boundaries[i].frames[f][:, b], split.coexact[i].frames[f][:, w]
+            ]))
+        return SubObject(c.objects[i], tuple(frames))
+
+    scale = max((d.norm() for d in c.diffs), default=0.0) ** 2
+
+    def build(subs):
+        diffs = tuple(subs[i + 1].compress(d, subs[i]) for i, d in enumerate(c.diffs))
+        return ChainComplexC(tuple(s.space for s in subs), diffs, check_scale=scale)
+
+    small_subs = [part(i, True) for i in range(c.length)]
+    large_subs = [part(i, False) for i in range(c.length)]
+    return build(small_subs), build(large_subs), small_subs, large_subs
 
 
 def split_complex(c: ChainComplexC, eps: float, tol: float = DEFAULT_RANK_TOL):
@@ -267,54 +349,7 @@ def split_complex(c: ChainComplexC, eps: float, tol: float = DEFAULT_RANK_TOL):
     eigenvalue pair.
     """
     split = hodge_split(c, tol)
-    n = c.length
-    nf = c.backend.n_fibers
-    # SVD of each restricted differential, fiberwise
-    svds = []
-    for m in split.restricted:
-        fibers = []
-        for b in m.standardized_blocks():
-            if min(b.shape) == 0:
-                fibers.append(
-                    (np.zeros((b.shape[0], 0)), np.zeros(0), np.zeros((0, b.shape[1])))
-                )
-            else:
-                fibers.append(np.linalg.svd(b))
-        svds.append(fibers)
-
-    def frames(i, small):
-        out = []
-        for f in range(nf):
-            parts = [split.harmonic[i].frames[f]] if small else []
-            if i > 0 and i - 1 < len(svds):
-                u, s, _ = svds[i - 1][f]
-                sel = (s * s <= eps) if small else (s * s > eps)
-                out_b = split.boundaries[i].frames[f] @ u[:, : len(s)][:, sel]
-                parts.append(out_b)
-            if i < len(svds):
-                _, s, vh = svds[i][f]
-                sel = (s * s <= eps) if small else (s * s > eps)
-                parts.append(split.coexact[i].frames[f] @ vh[: len(s)][sel].conj().T)
-            out.append(
-                np.hstack(parts)
-                if parts
-                else np.zeros((c.objects[i].dims[f], 0), complex)
-            )
-        return out
-
-    small_subs = [SubObject(c.objects[i], tuple(frames(i, True))) for i in range(n)]
-    large_subs = [SubObject(c.objects[i], tuple(frames(i, False))) for i in range(n)]
-
-    scale = max((d.norm() for d in c.diffs), default=0.0) ** 2
-
-    def build(subs):
-        objects = tuple(s.space for s in subs)
-        diffs = tuple(
-            subs[i + 1].compress(c.diffs[i], subs[i]) for i in range(c.length - 1)
-        )
-        return ChainComplexC(objects, diffs, check_scale=scale)
-
-    return build(small_subs), build(large_subs), small_subs, large_subs
+    return _split_parts(c, split, [[s * s <= eps for s in v] for v in split.singular])
 
 
 # ---------------------------------------------------------------------------
@@ -348,62 +383,61 @@ def torsion(
 ) -> TorsionReport:
     """Torsion of the complex as an element of det of extended cohomology.
 
-    The Laplacian spectrum is cut at ``epsilon`` (by default the geometric
-    mean of the spectral extremes): the upper part contributes the acyclic
-    closed form, the lower part goes through nu. A scalar value is reported
-    only when the cohomology line is canonically trivial: zero trace-Betti
-    numbers and a Convergent certificate in every degree.
+    The complex is decomposed once, by :func:`hodge_split`, and everything
+    is read off its singular values s:
+
+    - the default ``epsilon``, the geometric mean of the spectral extremes
+      of the Laplacians, whose nonzero eigenvalues are the s^2;
+    - the determinant-class verdicts, those of the split one degree up;
+    - the cut: s^2 <= epsilon puts s in the small part, folded through nu
+      together with the harmonic frames, and the rest in the strictly
+      acyclic large part;
+    - ``log_rho_large``, the signed sum of weighted log s over the large
+      part, cross-checked against the Laplacian closed form of the large
+      subcomplex (the deviation is ``checks["large_part_formulas"]``);
+    - the trace-Betti numbers of the small part.
+
+    A scalar value is reported only when the cohomology line is canonically
+    trivial: zero trace-Betti numbers and a Convergent certificate in every
+    degree.
     """
     if sigma is None:
         sigma = complex_det_element(c)
-    systems = _laplacian_eigensystems(c, tol)
-    top = 0.0
-    for fibers in systems:
-        for w, _ in fibers:
-            if len(w):
-                top = max(top, float(w[-1]))
-    if epsilon is None:
-        epsilon = default_epsilon(c, tol)
-    elif epsilon <= 0.0:
+    if epsilon is not None and not epsilon > 0.0:
         raise InputValidationError("epsilon must be positive")
-
-    verdicts = determinant_class_test(c, tol)
-    betti = []
-
+    split = hodge_split(c, tol)
+    log_coeff = _rebased_log_coeff(sigma, c)
     if epsilon is None:
-        small_sigma = DetLineElement(sigma.word, sigma.log_coeff)
-        rho_small = nu_map(c, small_sigma, out_prefix=out_prefix, tol=tol)
-        log_rho_large = 0.0
-        split_small = c
-    else:
-        small_c, large_c, small_subs, _ = split_complex(c, epsilon, tol)
-        # det(C^i) = det(S^i) (x) det(L^i) with orthonormal frames: the
-        # coefficient carries over unchanged once rebased onto the complex
-        log_coeff = sigma.log_coeff
-        matched = [False] * c.length
-        for frame, e in sigma.word:
-            for i, obj in enumerate(c.objects):
-                if not matched[i] and frame.obj.same_space(obj) and e == (-1) ** i:
-                    log_coeff += -(e / 2.0) * (
-                        frame.log_det_product - obj.log_det_product()
-                    )
-                    matched[i] = True
-                    break
-            else:
-                raise L2TorsionError("input element does not match det of the complex")
-        small_sigma = complex_det_element(small_c, "S", log_coeff)
-        rho_small = nu_map(small_c, small_sigma, in_prefix="S",
-                           out_prefix=out_prefix, tol=tol)
-        log_rho_large = (
-            torsion_acyclic(large_c, tol) if any(
-                o.dim_tau > 0 for o in large_c.objects
-            ) else 0.0
-        )
-        split_small = small_c
+        epsilon = _epsilon(split, tol)
+    verdicts = [
+        v if i > 0 and c.objects[i - 1].dim_tau > 0
+        else DetClassVerdict("Convergent", 0.0, [], 0.0, 0.0)
+        for i, v in enumerate([None] + split.verdicts)
+    ]
 
-    for i in range(split_small.length):
-        density = spectral_density(split_small.laplacian(i), tol, check=False)
-        betti.append(density.zero_mass)
+    cut = math.inf if epsilon is None else epsilon
+    low = [[s * s <= cut for s in v] for v in split.singular]
+    small = [[s[k] for s, k in zip(v, m)] for v, m in zip(split.singular, low)]
+    log_rho_large, checks = 0.0, {}
+    if epsilon is not None:
+        # building both parts runs their d^2 = 0 checks
+        _, large_c, _, _ = _split_parts(c, split, low)
+        if any(o.dim_tau > 0 for o in large_c.objects):
+            large = [[s[~k] for s, k in zip(v, m)] for v, m in zip(split.singular, low)]
+            log_rho_large, unfolded = _fold(split, large, out_prefix)
+            via_laplacian = torsion_acyclic(large_c, tol, cross_check=False)
+            if unfolded:
+                raise NotAcyclicError("complex is not acyclic within tolerance")
+            checks["large_part_formulas"] = _check_formulas(via_laplacian, log_rho_large)
+
+    folded, unfolded = _fold(split, small, out_prefix)
+    rho_small = DetLineElement(
+        tuple(_harmonic_word(split, out_prefix) + unfolded), log_coeff + folded
+    )
+    betti = [
+        h.dim_tau + float(split.weights[fib[~clear]].sum())
+        for h, (_, fib, clear) in zip(split.harmonic, _laplacian_spectra(split, small, tol))
+    ]
     combined = rho_small.scaled(log_rho_large)
 
     scalar_value = None
@@ -422,6 +456,7 @@ def torsion(
         detclass=verdicts,
         betti=betti,
         scalar_value=scalar_value,
+        checks=checks,
     )
 
 

@@ -119,6 +119,28 @@ class TestGroupRingExpansion:
 
 
 class TestSubObjects:
+    def test_standard_products_skip_identity_factors(self, rng):
+        # mixes a standard and a non-standard product on the two sides; the
+        # standard side must give exactly what the identity factor gave
+        backend = matrix_backend()
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        plain = matrix_object(backend, 2)
+        weighted = matrix_object(backend, 3, a.conj().T @ a + np.eye(3))
+        blk = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        f = matrix_morphism(plain, weighted, blk)
+        g = matrix_morphism(weighted, plain, blk.T)
+        eye2 = np.eye(2, dtype=complex)
+        s = weighted.std_factor(0)
+        assert np.array_equal(
+            f.standardized_blocks()[0], s @ blk @ np.linalg.inv(eye2)
+        )
+        assert np.array_equal(
+            g.standardized_blocks()[0], eye2 @ blk.T @ np.linalg.inv(s)
+        )
+        frames = [rng.normal(size=(2, 1)) + 0j]
+        sub = subobject_from_std_frames(plain, frames)
+        assert np.array_equal(sub.project().blocks[0], frames[0].conj().T @ eye2)
+
     def test_kernel_image_dims_of_diagonal(self):
         backend = matrix_backend()
         obj = matrix_object(backend, 3)

@@ -159,13 +159,14 @@ class TestInvalidInputs:
         )
 
     def test_bad_epsilon(self, inputs):
-        code = main([
-            "torsion",
-            "--complex", str(inputs / "circle.json"),
-            "--rep", str(inputs / "rep_lambda_minus1.json"),
-            "--epsilon", "-1.0",
-        ])
-        assert code == EXIT_INVALID
+        for epsilon in ("-1.0", "nan"):
+            code = main([
+                "torsion",
+                "--complex", str(inputs / "circle.json"),
+                "--rep", str(inputs / "rep_lambda_minus1.json"),
+                "--epsilon", epsilon,
+            ])
+            assert code == EXIT_INVALID, epsilon
 
     def test_bad_grid(self, inputs):
         code = main([

@@ -1,0 +1,226 @@
+"""Torsion reports agree with values recorded from the earlier pipeline.
+
+``golden_torsion.json`` holds ``torsion()`` reports recorded with the
+pipeline of commit 2628008, which diagonalized each complex separately for
+epsilon, the verdicts, the epsilon-split, nu and the Betti numbers. The
+cases are seeded random complexes on every standard backend (each at the
+default epsilon, three times it and a third of it) and four cellular
+examples. To record the fixture again, run this file with the library to
+record on the path:
+
+    PYTHONPATH=src python tests/test_golden.py > tests/golden_torsion.json
+
+That pipeline ran nu and the Betti loop on the compressed small
+subcomplex. Wherever a fiber of a small-part Laplacian held harmonic
+directions but no eigenvalue at or below epsilon, it decomposed the
+rounding noise (about 1e-16) there as spectrum: the Betti numbers lost the
+harmonic dimension, and noise singular values showed up in the word as
+unfolded W/B frames in place of harmonic frames. The recorder marks such
+cases with ``small_part_noise`` (two of the random cases, both at a third
+of the default epsilon). For them the expected Betti numbers are the
+recorded harmonic dimensions of the complex and the expected word follows
+from those and the recorded verdicts; every other field, the coefficients
+included, is still compared with the recording.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+
+import numpy as np
+import pytest
+
+from l2torsion.backends import Morphism, expand_group_matrix
+from l2torsion.cellular import (
+    circle_complex,
+    circle_regular_representation,
+    combinatorial_torsion,
+    lens_complex,
+    regular_representation,
+    torus_quotient_complex,
+)
+from l2torsion.extcoh import ChainComplexC
+from l2torsion.harness import (
+    family_multiplication_map,
+    random_acyclic_complex,
+    random_complex_with_cohomology,
+    random_invertible_morphism,
+    standard_backends,
+)
+from l2torsion.torsion import hodge_split, torsion
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "golden_torsion.json")
+FACTORS = (1.0, 3.0, 1.0 / 3.0)
+GRID = 256
+
+
+def _lift(rng, model: ChainComplexC, backend) -> ChainComplexC:
+    """The Matrix complex ``model`` over ``backend``, conjugated degreewise
+    by random invertibles of that backend; Family fibers also rescale each
+    differential by their own factor, so spectra vary from fiber to fiber."""
+    kind = backend.kind.value
+    if kind == "Matrix":
+        return model
+    gs = [random_invertible_morphism(rng, backend, o.dims[0]) for o in model.objects]
+    diffs = []
+    for i, d in enumerate(model.diffs):
+        blk = d.blocks[0]
+        if kind == "FiniteGroup":
+            table = np.asarray(backend.group_table)
+            ring = np.zeros(blk.shape + (backend.group_order,), complex)
+            ring[:, :, 0] = blk
+            fibers = [expand_group_matrix(table, ring)]
+        else:
+            fibers = [rng.uniform(0.3, 3.0) * blk for _ in range(backend.n_fibers)]
+        blocks = tuple(
+            g1 @ b @ np.linalg.inv(g0)
+            for g1, b, g0 in zip(gs[i + 1].blocks, fibers, gs[i].blocks)
+        )
+        diffs.append(Morphism(gs[i].source, gs[i + 1].source, blocks))
+    return ChainComplexC(tuple(g.source for g in gs), tuple(diffs))
+
+
+def _random_complexes():
+    """(name, complex) for two seeded complexes of each kind and backend."""
+    out = []
+    makers = (("acyclic", lambda rng: random_acyclic_complex(rng, 3, 2)),
+              ("cohomology", lambda rng: random_complex_with_cohomology(rng, 3)))
+    for k, (kind, make) in enumerate(makers):
+        for b, (bname, backend) in enumerate(sorted(standard_backends().items())):
+            rng = np.random.default_rng(100 * k + 10 * b)
+            for j in range(2):
+                out.append((f"{kind}-{bname}-{j}", _lift(rng, make(rng), backend)))
+    return out
+
+
+def _divergent_complex() -> ChainComplexC:
+    xs = (np.arange(GRID) + 0.5) / GRID
+    with np.errstate(under="ignore"):
+        diff = family_multiplication_map(np.exp(-1.0 / xs))
+    return ChainComplexC((diff.source, diff.target), (diff,))
+
+
+def _example_runs():
+    """(name, thunk) for the cellular and divergent examples."""
+    lens, torus = lens_complex(8, 1), torus_quotient_complex(3)
+    return [
+        ("circle-regular", lambda: combinatorial_torsion(
+            circle_complex(), circle_regular_representation(GRID))),
+        ("divergent", lambda: torsion(_divergent_complex())),
+        ("lens-8-1-regular", lambda: combinatorial_torsion(
+            lens, regular_representation(lens.pi))),
+        ("torus-quotient-3-regular", lambda: combinatorial_torsion(
+            torus, regular_representation(torus.pi))),
+    ]
+
+
+def _summary(report) -> dict:
+    return {
+        "epsilon": report.epsilon,
+        "combined": report.combined.log_coeff,
+        "rho_small": report.rho_small.log_coeff,
+        "log_rho_large": report.log_rho_large,
+        "betti": [float(b) for b in report.betti],
+        "detclass": [v.status for v in report.detclass],
+        "word": [[f.label, int(e)] for f, e in report.combined.word],
+        "scalar": report.scalar_value is not None,
+    }
+
+
+def _small_part_noise(rec: dict) -> bool:
+    """True when the recorded report decomposed rounding noise of the small
+    subcomplex: its Betti numbers differ from the harmonic dimensions, or it
+    left W/B frames unfolded in a degree whose differential is certified
+    Convergent."""
+    if any(abs(b - h) > 1e-12 for b, h in zip(rec["betti"], rec["harmonic"])):
+        return True
+    for label, _ in rec["word"]:
+        if ":W" in label:
+            i = int(label.split(":W")[1])
+            if rec["detclass"][i + 1] == "Convergent":
+                return True
+    return False
+
+
+def record() -> list:
+    cases = []
+    for name, c in _random_complexes():
+        harmonic = [float(h.dim_tau) for h in hodge_split(c).harmonic]
+        eps0 = torsion(c).epsilon
+        for factor in FACTORS if eps0 is not None else FACTORS[:1]:
+            eps = None if factor == 1.0 else eps0 * factor
+            rec = _summary(torsion(c, epsilon=eps))
+            rec.update(name=name, factor=factor, harmonic=harmonic)
+            cases.append(rec)
+    for name, run in _example_runs():
+        rec = _summary(run())
+        rec.update(name=name, factor=1.0, harmonic=None)
+        cases.append(rec)
+    for rec in cases:
+        rec["small_part_noise"] = rec["harmonic"] is not None and _small_part_noise(rec)
+    return cases
+
+
+# ---------------------------------------------------------------------------
+# the test
+
+
+def _close(got, want, rel=0.0, abs_=0.0) -> bool:
+    if want is None or got is None:
+        return got is want
+    return abs(got - want) <= max(rel * abs(want), abs_)
+
+
+def _coeff_ok(got, want) -> bool:
+    return _close(got, want, abs_=1e-8 * max(1.0, abs(want)))
+
+
+def _expected_word(rec: dict) -> list:
+    """The word the harmonic dimensions and verdicts call for."""
+    word = [[f"H{i}", (-1) ** i] for i, h in enumerate(rec["harmonic"]) if h > 0]
+    for i, status in enumerate(rec["detclass"][1:]):
+        if status != "Convergent":
+            word += [[f"H:W{i}", (-1) ** i], [f"H:B{i + 1}", (-1) ** (i + 1)]]
+    return word
+
+
+def _load() -> list:
+    with open(FIXTURE) as fh:
+        return json.load(fh)
+
+
+def _runs() -> dict:
+    runs = {}
+    fixture = {(r["name"], r["factor"]): r for r in _load()}
+    for name, c in _random_complexes():
+        eps0 = fixture[(name, 1.0)]["epsilon"]
+        for factor in FACTORS if eps0 is not None else FACTORS[:1]:
+            eps = None if factor == 1.0 else eps0 * factor
+            runs[(name, factor)] = lambda c=c, eps=eps: torsion(c, epsilon=eps)
+    for name, run in _example_runs():
+        runs[(name, 1.0)] = run
+    return runs
+
+
+@pytest.mark.parametrize("rec", _load(), ids=lambda r: f"{r['name']}@{r['factor']:.3g}")
+def test_matches_recording(rec):
+    got = _summary(_runs()[(rec["name"], rec["factor"])]())
+    assert _close(got["epsilon"], rec["epsilon"], rel=1e-6)
+    assert _coeff_ok(got["log_rho_large"], rec["log_rho_large"])
+    assert got["detclass"] == rec["detclass"]
+    assert got["scalar"] == rec["scalar"]
+    assert _coeff_ok(got["combined"], rec["combined"])
+    assert _coeff_ok(got["rho_small"], rec["rho_small"])
+    if rec["small_part_noise"]:
+        # the recording is wrong here; hold the report to what the recorded
+        # harmonic dimensions and verdicts determine
+        assert np.allclose(got["betti"], rec["harmonic"], rtol=0.0, atol=1e-12)
+        assert got["word"] == _expected_word(rec)
+    else:
+        assert np.allclose(got["betti"], rec["betti"], rtol=0.0, atol=1e-12)
+        assert got["word"] == rec["word"]
+
+
+if __name__ == "__main__":
+    print(json.dumps(record(), indent=1))

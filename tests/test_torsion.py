@@ -1,12 +1,17 @@
 """The torsion pipeline: nu, epsilon splitting, exact sequences, cones."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from l2torsion.backends import matrix_backend, matrix_morphism, matrix_object
-from l2torsion.errors import NotAChainMapError, NotAcyclicError
+from l2torsion.errors import (
+    InputValidationError,
+    NotAChainMapError,
+    NotAcyclicError,
+)
 from l2torsion.extcoh import ChainComplexC
 from l2torsion.harness import (
     random_acyclic_complex,
@@ -122,6 +127,35 @@ class TestTorsionReport:
         c = random_acyclic_complex(rng, 3, 3)
         r = torsion(c)
         assert r.determinant_class
+
+    def test_one_hodge_split_per_call(self, rng, monkeypatch):
+        module = sys.modules["l2torsion.torsion"]
+        calls = []
+        real = module.hodge_split
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "hodge_split", counted)
+        torsion(random_complex_with_cohomology(rng))
+        assert len(calls) == 1
+
+    def test_nan_epsilon_rejected(self):
+        c = random_acyclic_complex(np.random.default_rng(0), 3, 3)
+        with pytest.raises(InputValidationError):
+            torsion(c, epsilon=float("nan"))
+        # infinity puts everything in the small part and stays correct
+        r = torsion(c, epsilon=math.inf)
+        assert r.log_rho_large == 0.0
+        assert r.combined.log_coeff == pytest.approx(torsion_acyclic(c), abs=1e-10)
+
+    def test_large_part_cross_check_recorded(self, rng):
+        c = random_acyclic_complex(rng, 4, 3)
+        r = torsion(c)
+        assert 0.0 <= r.checks["large_part_formulas"] < 1e-8 * max(
+            1.0, abs(r.log_rho_large)
+        )
 
 
 class TestExactSequences:
