@@ -78,7 +78,6 @@ from .torsion import (
     les_connecting_iso,
     mapping_cone,
     nu_map,
-    torsion,
     torsion_acyclic,
 )
 from .cellular import (

@@ -6,10 +6,14 @@ cohomology, when alpha is a differential) and its torsion part is alpha
 viewed as a map onto the image closure -- an injective, dense-image map
 whose spectral density near zero carries the interesting analytic data.
 
-Chain complexes live here too: extended cohomology in each degree is the
-extended object (d: C^{i-1} -> ker d_i), its projective dimension is the
-trace-Betti number, and the determinant-class test asks every degree's
-torsion part to have a convergent log spectral moment.
+Chain complexes live here too. Extended cohomology in each degree is the
+extended object (d: C^{i-1} -> ker d_i): its projective dimension is the
+trace-Betti number, and its torsion part is d_{i-1} on the co-exact part,
+whose singular values give the determinant-class verdict (a convergent log
+spectral moment) and the Novikov-Shubin exponent. ``cohomology`` and
+``determinant_class_test`` read all of this off the one Hodge split of the
+complex (:func:`l2torsion.torsion.hodge_split`) that the torsion pipeline
+uses, so the three reports agree by construction.
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ from .backends import (
     adjoint,
     add,
     compose,
+    direct_sum_morphisms,
     direct_sum_objects,
+    full_subobject,
     kernel_and_image_closure,
     orthocomplement,
     scale_morphism,
@@ -112,16 +118,10 @@ def extended_object(alpha: Morphism, tol: float = DEFAULT_RANK_TOL) -> ExtendedO
     coker = orthocomplement(im)
     src_core = orthocomplement(ker)
     alpha_inj = compose(alpha, src_core.include())
-    torsion_map = im.compress(alpha_inj, _identity_sub(src_core.space))
+    torsion_map = im.compress(alpha_inj, full_subobject(src_core.space))
     density = singular_density(torsion_map, tol)
     verdict = classify_determinant(density)
     return ExtendedObject(alpha_inj, coker, torsion_map, density, verdict)
-
-
-def _identity_sub(obj: HObject) -> SubObject:
-    from .backends import full_subobject
-
-    return full_subobject(obj)
 
 
 def det_line_of_extended(
@@ -260,8 +260,6 @@ class ChainComplexC:
 
 def direct_sum_complexes(a: ChainComplexC, b: ChainComplexC) -> ChainComplexC:
     """Degreewise direct sum (the shorter complex is padded with zeros)."""
-    from .backends import direct_sum_morphisms
-
     n = max(a.length, b.length)
     zero = zero_object(a.backend)
 
@@ -283,8 +281,6 @@ class DegreeCohomology:
 
     degree: int
     betti: float
-    extended: ExtendedObject
-    harmonic: SubObject
     verdict: DetClassVerdict
     ns: float | None
 
@@ -312,57 +308,41 @@ class CohomologyProfile:
 def cohomology(c: ChainComplexC, tol: float = DEFAULT_RANK_TOL) -> CohomologyProfile:
     """Extended cohomology of the complex, degree by degree.
 
-    In degree i the extended object is (d: C^{i-1} -> ker d_i); its
-    projective dimension is the trace-Betti number, which is cross-checked
-    against the kernel of the Laplacian (harmonic route).
+    Everything is read off one Hodge split of the complex. In degree i the
+    extended object is (d: C^{i-1} -> ker d_i). Its trace-Betti number is
+    the dimension of the kernel of the Laplacian Delta_i: the harmonic
+    dimension plus the mass of the eigenvalues s^2 (s a singular value of
+    d_{i-1} or d_i) at or below ``tol`` times the largest one of the degree
+    and fiber. Its verdict and Novikov-Shubin exponent come from the
+    density of the singular values of d_{i-1} on the co-exact part, and
+    degree 0 has no exponent.
     """
-    scale = c.fiber_scales()
-    degrees = []
-    for i in range(c.length):
-        up = c.differential(i) if i < c.length - 1 else None
-        if up is not None:
-            ker_up, _ = kernel_and_image_closure(up, tol, scale)
-        else:
-            ker_up = _identity_sub(c.objects[i])
-        down = c.differential(i - 1)
-        alpha = ker_up.compress(down, _identity_sub(down.source))
-        ext = extended_object(alpha, tol)
-        harmonic, _ = kernel_and_image_closure(c.laplacian(i), tol)
-        degrees.append(
-            DegreeCohomology(
-                degree=i,
-                betti=harmonic.dim_tau,
-                extended=ext,
-                harmonic=harmonic,
-                verdict=ext.verdict,
-                ns=ext.ns_exponent(),
-            )
+    from .torsion import hodge_split  # torsion imports this module
+
+    split = hodge_split(c, tol)
+    betti, verdicts = split.betti(split.singular), split.detclass()
+    return CohomologyProfile([
+        DegreeCohomology(
+            degree=i,
+            betti=betti[i],
+            verdict=verdicts[i],
+            ns=None if i == 0 else ns_exponent(split.density(i - 1)),
         )
-    return CohomologyProfile(degrees)
+        for i in range(c.length)
+    ])
 
 
 def determinant_class_test(c: ChainComplexC, tol: float = DEFAULT_RANK_TOL) -> list:
     """Per-degree determinant-class verdicts for the complex.
 
-    Degree i classifies the corestriction of d_{i-1} onto the closure of its
-    image; the complex is of determinant class iff every degree is
-    Convergent.
+    Degree i classifies the kept singular values of d_{i-1} on the
+    co-exact part, read off the Hodge split; degree 0 gets the verdict of
+    an empty density. The complex is of determinant class iff every degree
+    is Convergent.
     """
-    scale = c.fiber_scales()
-    verdicts = []
-    for i in range(c.length):
-        down = c.differential(i - 1)
-        if down.source.dim_tau == 0:
-            verdicts.append(
-                DetClassVerdict("Convergent", 0.0, [], 0.0, 0.0)
-            )
-            continue
-        ker, im = kernel_and_image_closure(down, tol, scale)
-        core = orthocomplement(ker)
-        restricted = im.compress(down, core)
-        density = singular_density(restricted, tol)
-        verdicts.append(classify_determinant(density))
-    return verdicts
+    from .torsion import hodge_split  # torsion imports this module
+
+    return hodge_split(c, tol).detclass()
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +460,6 @@ def kernel_cokernel_lines(
     g, h = _graph_map(x, y, f, fprime)
     coker = extended_object(h, tol)
     p_sub, _ = kernel_and_image_closure(h, tol)
-    iota = p_sub.compress(g, _identity_sub(g.source))
+    iota = p_sub.compress(g, full_subobject(g.source))
     kernel = extended_object(iota, tol)
     return KernelCokernelLines(kernel, coker)

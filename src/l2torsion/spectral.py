@@ -262,13 +262,9 @@ def fk_det_extended(f: Morphism, tol: float = DEFAULT_RANK_TOL):
     """
     density = singular_density(f, tol)
     verdict = classify_determinant(density)
-    verdict.dense_image = _dense_image(f, density, tol)
-    return verdict.log_integral, verdict
-
-
-def _dense_image(f: Morphism, density: SpectralDensity, tol: float) -> bool:
     coker_mass = f.target.dim_tau - (f.source.dim_tau - density.zero_mass)
-    return abs(coker_mass) <= max(tol, CONVERGENCE_TOL)
+    verdict.dense_image = abs(coker_mass) <= max(tol, CONVERGENCE_TOL)
+    return verdict.log_integral, verdict
 
 
 def tau_isomorphism_test(f: Morphism, tol: float = DEFAULT_RANK_TOL) -> DetClassVerdict:
@@ -277,11 +273,11 @@ def tau_isomorphism_test(f: Morphism, tol: float = DEFAULT_RANK_TOL) -> DetClass
     f qualifies when it is injective with dense image and the extended
     determinant certificate is Convergent. Non-injective or non-dense inputs
     are reported as Divergent with the corresponding diagnostic flag unset
-    rather than raising, so batch pipelines can inspect the verdict.
+    rather than raising, so batch pipelines can inspect the verdict. The
+    verdict is that of :func:`fk_det_extended`, demoted when the image is
+    not dense.
     """
-    density = singular_density(f, tol)
-    verdict = classify_determinant(density)
-    verdict.dense_image = _dense_image(f, density, tol)
+    _, verdict = fk_det_extended(f, tol)
     if not verdict.dense_image and verdict.status == "Convergent":
         verdict.status = "Divergent"
         verdict.log_integral = -math.inf

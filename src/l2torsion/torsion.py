@@ -28,6 +28,7 @@ from .backends import (
     Morphism,
     SubObject,
     compose,
+    direct_sum_objects,
     fiber_svds,
     full_subobject,
     orthocomplement,
@@ -50,7 +51,6 @@ from .errors import (
 )
 from .extcoh import ChainComplexC, zero_object
 from .spectral import (
-    DetClassVerdict,
     SpectralDensity,
     classify_determinant,
     spectral_density,
@@ -102,6 +102,10 @@ class HodgeSplit:
     ``singular[i][f][j]`` times column j of ``boundaries[i + 1]``. The
     nonzero Laplacian eigenvalues of the complex are the squares of
     ``singular``.
+
+    Every complex-level report reads the split through :meth:`detclass`
+    and :meth:`betti`, so the torsion report, the extended cohomology and
+    the determinant-class test cannot drift apart.
     """
 
     harmonic: list
@@ -110,10 +114,32 @@ class HodgeSplit:
     singular: list  # singular[i][f] = kept singular values of d_i, descending
     verdicts: list  # certificate for each restricted differential
     weights: np.ndarray  # trace weight of each fiber
+    tol: float  # the relative rank cut the split was made with
+
+    def density(self, i: int) -> SpectralDensity:
+        """Trace-weighted density of the kept singular values of d_i."""
+        return _density(self.singular[i], self.weights)
+
+    def detclass(self) -> list:
+        """Determinant-class verdict of each degree: degree i certifies the
+        restricted d_{i-1}, and degree 0, with no incoming differential,
+        gets the verdict of an empty density."""
+        empty = SpectralDensity(np.zeros(0), np.zeros(0), 0.0, 0.0)
+        return [classify_determinant(empty)] + self.verdicts
+
+    def betti(self, values: list) -> list:
+        """Trace-Betti numbers when ``values[i][f]`` are the singular values
+        of d_i on fiber f that count as spectrum: the harmonic dimensions
+        plus the mass of the Laplacian eigenvalues s^2 at or below tol
+        times the largest eigenvalue of their degree and fiber."""
+        return [
+            h.dim_tau + float(self.weights[fib[~clear]].sum())
+            for h, (_, fib, clear) in zip(self.harmonic, _laplacian_spectra(self, values))
+        ]
 
 
 def hodge_split(c: ChainComplexC, tol: float = DEFAULT_RANK_TOL) -> HodgeSplit:
-    split = HodgeSplit([], [], [], [], [], c.backend.fiber_weights)
+    split = HodgeSplit([], [], [], [], [], c.backend.fiber_weights, tol)
     scale = c.fiber_scales()
     split.boundaries.append(_zero_sub(c.objects[0]))
     for i, d in enumerate(c.diffs):
@@ -128,9 +154,8 @@ def hodge_split(c: ChainComplexC, tol: float = DEFAULT_RANK_TOL) -> HodgeSplit:
         split.boundaries.append(
             subobject_from_std_frames(d.target, [u[:, :r] for r, u, _, _ in svds])
         )
-        kept = [s[:r] for r, _, s, _ in svds]
-        split.singular.append(kept)
-        split.verdicts.append(classify_determinant(_density(kept, split.weights)))
+        split.singular.append([s[:r] for r, _, s, _ in svds])
+        split.verdicts.append(classify_determinant(split.density(i)))
     last = c.objects[-1]
     split.harmonic.append(_sub_within(full_subobject(last), split.boundaries[-1]))
     split.coexact.append(_zero_sub(last))
@@ -262,11 +287,11 @@ def torsion_acyclic(
 # epsilon splitting
 
 
-def _laplacian_spectra(split: HodgeSplit, values: list, tol: float) -> list:
+def _laplacian_spectra(split: HodgeSplit, values: list) -> list:
     """Per degree i, the nonzero eigenvalues of Delta_i that the singular
     values ``values[i][f]`` give (the squares of those of d_{i-1} and d_i),
     with their fiber indices and whether each clears the cut
-    tol * (largest eigenvalue of Delta_i on its fiber)."""
+    split.tol * (largest eigenvalue of Delta_i on its fiber)."""
     flat = [
         (np.concatenate(v) ** 2, np.repeat(np.arange(len(v)), [len(s) for s in v]))
         for v in values
@@ -278,13 +303,13 @@ def _laplacian_spectra(split: HodgeSplit, values: list, tol: float) -> list:
         fib = np.concatenate([np.zeros(0, int)] + [f for _, f in adjacent])
         top = np.zeros(len(split.weights))
         np.maximum.at(top, fib, lam)
-        out.append((lam, fib, lam > tol * top[fib]))
+        out.append((lam, fib, lam > split.tol * top[fib]))
     return out
 
 
-def _epsilon(split: HodgeSplit, tol: float) -> float | None:
+def _epsilon(split: HodgeSplit) -> float | None:
     positive = np.concatenate([np.zeros(0)] + [
-        lam[clear] for lam, _, clear in _laplacian_spectra(split, split.singular, tol)
+        lam[clear] for lam, _, clear in _laplacian_spectra(split, split.singular)
     ])
     if not len(positive):
         return None
@@ -305,7 +330,7 @@ def default_epsilon(c: ChainComplexC, tol: float = DEFAULT_RANK_TOL) -> float | 
     remains numerically invertible; the near-zero mass belongs to the lower
     part, where it is reported through its certificate instead of a number.
     """
-    return _epsilon(hodge_split(c, tol), tol)
+    return _epsilon(hodge_split(c, tol))
 
 
 def _split_parts(c: ChainComplexC, split: HodgeSplit, low: list):
@@ -408,12 +433,8 @@ def torsion(
     split = hodge_split(c, tol)
     log_coeff = _rebased_log_coeff(sigma, c)
     if epsilon is None:
-        epsilon = _epsilon(split, tol)
-    verdicts = [
-        v if i > 0 and c.objects[i - 1].dim_tau > 0
-        else DetClassVerdict("Convergent", 0.0, [], 0.0, 0.0)
-        for i, v in enumerate([None] + split.verdicts)
-    ]
+        epsilon = _epsilon(split)
+    verdicts = split.detclass()
 
     cut = math.inf if epsilon is None else epsilon
     low = [[s * s <= cut for s in v] for v in split.singular]
@@ -434,10 +455,7 @@ def torsion(
     rho_small = DetLineElement(
         tuple(_harmonic_word(split, out_prefix) + unfolded), log_coeff + folded
     )
-    betti = [
-        h.dim_tau + float(split.weights[fib[~clear]].sum())
-        for h, (_, fib, clear) in zip(split.harmonic, _laplacian_spectra(split, small, tol))
-    ]
+    betti = split.betti(small)
     combined = rho_small.scaled(log_rho_large)
 
     scalar_value = None
@@ -534,7 +552,8 @@ def les_connecting_iso(
     hn = hodge_split(N, tol).harmonic
 
     alpha_pinv = [orthogonal_section(a, tol) for a in alpha]
-    beta_sec = [orthogonal_section(b, tol) for b in beta]
+    quotients = [induced_quotient_object(b, tol) for b in beta]
+    beta_sec = [section for _, section in quotients]
 
     objects, diffs = [], []
     for i in range(n):
@@ -557,7 +576,7 @@ def les_connecting_iso(
     base_change = 0.0
     for i in range(n):
         sub = induced_sub_object(alpha[i])
-        quot, _ = induced_quotient_object(beta[i], tol)
+        quot = quotients[i][0]
         base_change += (-1) ** i * 0.5 * (
             (sub.log_det_product() - L.objects[i].log_det_product())
             + (quot.log_det_product() - N.objects[i].log_det_product())
@@ -582,8 +601,6 @@ def mapping_cone(c: ChainComplexC, ctilde: ChainComplexC, f_list) -> tuple:
 
     def obj(cc, i):
         return cc.objects[i] if i < cc.length else zero
-
-    from .backends import direct_sum_objects
 
     objects = tuple(
         direct_sum_objects(obj(quot, i), obj(sub, i)) for i in range(n)

@@ -1,0 +1,41 @@
+"""The package's import surface and the runnable scripts."""
+
+import json
+import math
+import os
+import subprocess
+import sys
+import types
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_torsion_submodule_is_a_module():
+    import l2torsion.torsion as T
+
+    assert isinstance(T, types.ModuleType)
+    assert callable(T.torsion)
+
+
+def _run_script(name: str, *args: str) -> str:
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", name), *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_divergent_demo_reports_no_scalar():
+    report = json.loads(_run_script("divergent_demo.py", "--grid", "256"))
+    assert report["scalar_value"] is None
+    assert report["detclass"][1]["status"] == "Divergent"
+
+
+def test_grid_refinement_error_is_ln2_over_n():
+    rows = _run_script("grid_refinement.py", "--grids", "64", "256").splitlines()[1:]
+    assert [int(row.split()[0]) for row in rows] == [64, 256]
+    for row in rows:
+        grid, value = int(row.split()[0]), float(row.split()[1])
+        assert abs(value - 1.0) <= 1.01 * math.log(2.0) / grid
