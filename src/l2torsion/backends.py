@@ -22,6 +22,7 @@ frames) works fiberwise on that picture.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -74,8 +75,8 @@ class CategoryBackend:
 
     def __post_init__(self) -> None:
         self.kind = BackendKind(self.kind)
-        if self.scale <= 0:
-            raise InputValidationError("trace scale must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise InputValidationError("trace scale must be finite and positive")
         if self.kind is BackendKind.FINITE_GROUP:
             if self.group_table is None:
                 raise InputValidationError("FiniteGroup backend needs a Cayley table")
@@ -87,6 +88,8 @@ class CategoryBackend:
             pts = np.asarray(self.sample_points, dtype=float)
             if pts.ndim != 2 or pts.shape[1] != 2:
                 raise InputValidationError("sample points must be rows (xi, w)")
+            if not np.all(np.isfinite(pts)):
+                raise InputValidationError("sample points must be finite")
             if np.any(pts[:, 1] <= 0):
                 raise InputValidationError("sample weights must be positive")
             self.sample_points = pts
@@ -606,33 +609,40 @@ def uniform_stack(blocks) -> np.ndarray | None:
     return None
 
 
-def fiber_svds(f: Morphism, tol: float = DEFAULT_RANK_TOL, scale=0.0) -> list:
-    """Full SVD of each standardized block with its rank: [(rank, U, s, Vh)].
+def fiber_svds(
+    f: Morphism, tol: float = DEFAULT_RANK_TOL, scale=0.0, vectors: bool = True
+) -> list:
+    """SVD of each standardized block with its rank: [(rank, U, s, Vh)].
 
-    Singular values at or below tol * max(largest singular value of the
-    fiber, scale) count as zero; ``scale`` (a scalar, or one value per
-    fiber) supplies an extra reference magnitude so that a map which is
-    negligible relative to its surroundings is treated as zero. Scales are
-    applied per fiber so that a Family fiber with genuinely tiny but
-    meaningful entries is never truncated against an unrelated fiber's
+    This is the one place where the library takes the SVD of a morphism
+    and decides its rank. Singular values at or below tol * max(largest
+    singular value of the fiber, scale) count as zero; ``scale`` (a scalar,
+    or one value per fiber) supplies an extra reference magnitude so that a
+    map which is negligible relative to its surroundings is treated as zero.
+    Scales are applied per fiber so that a Family fiber with genuinely tiny
+    but meaningful entries is never truncated against an unrelated fiber's
     magnitude. Fibers of one common nonempty shape are decomposed in one
-    batched call.
+    batched call. U and Vh are full (square) unitaries; with
+    ``vectors=False`` only the values are computed and U, Vh are None.
     """
     scales = np.broadcast_to(np.asarray(scale, float), (len(f.blocks),))
     blocks = f.standardized_blocks()
     stacked = uniform_stack(blocks)
     if stacked is not None:
-        svds = zip(*np.linalg.svd(stacked))
+        svds = np.linalg.svd(stacked, compute_uv=vectors)
+        svds = zip(*svds) if vectors else svds
     else:
         svds = (
-            np.linalg.svd(b) if min(b.shape) else
-            (np.eye(b.shape[0]), np.zeros(0), np.eye(b.shape[1]))
+            np.linalg.svd(b, compute_uv=vectors) if min(b.shape)
+            else (np.eye(b.shape[0]), np.zeros(0), np.eye(b.shape[1])) if vectors
+            else np.zeros(0)
             for b in blocks
         )
     out = []
-    for (u, s, vh), sc in zip(svds, scales):
+    for svd, sc in zip(svds, scales):
+        u, s, vh = svd if vectors else (None, svd, None)
         cut = tol * max(s[0] if len(s) else 0.0, sc)
-        rank = int(np.sum(s > cut)) if cut > 0 else 0
+        rank = int(np.count_nonzero(s > cut)) if cut > 0 else 0
         out.append((rank, u, s, vh))
     return out
 
@@ -652,24 +662,3 @@ def kernel_and_image_closure(
     kernel = subobject_from_std_frames(f.source, ker_std)
     image = subobject_from_std_frames(f.target, im_std)
     return kernel, image
-
-
-def restrict_family(obj_or_mor, fiber_indices):
-    """Restriction of a Family object or morphism to a sub-sample-set."""
-    idx = list(fiber_indices)
-
-    def _restrict_backend(backend: CategoryBackend) -> CategoryBackend:
-        return family_backend(backend.sample_points[idx], backend.scale)
-
-    if isinstance(obj_or_mor, HObject):
-        obj = obj_or_mor
-        prods = tuple(obj.products[i] for i in idx)
-        return HObject(
-            _restrict_backend(obj.backend), tuple(obj.dims[i] for i in idx), prods
-        )
-    m = obj_or_mor
-    return Morphism(
-        restrict_family(m.source, idx),
-        restrict_family(m.target, idx),
-        tuple(m.blocks[i] for i in idx),
-    )

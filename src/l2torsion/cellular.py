@@ -144,13 +144,6 @@ class CellComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** d for d in self.cells.values())
 
-    def boundary_sum(self, cid: str, fid: str) -> GroupRingSum:
-        acc: GroupRingSum = ()
-        for gid, s in self.boundaries.get(cid, ()):
-            if gid == fid:
-                acc = ring_add(acc, s)
-        return acc
-
     def _check_dd_zero(self) -> None:
         for cid, dim in self.cells.items():
             if dim < 2:

@@ -27,14 +27,14 @@ from .backends import (
     HObject,
     Morphism,
     compose,
-    kernel_and_image_closure,
+    fiber_svds,
 )
 from .errors import (
     NotAnIsomorphismError,
     NotExactError,
     ShapeMismatchError,
 )
-from .spectral import fk_det_extended, singular_density
+from .spectral import fk_det_extended
 
 
 @dataclass(eq=False)
@@ -150,15 +150,13 @@ def push_forward(
 
     Replaces the frame over f.source by a frame over f.target, rescaling the
     coefficient by the (extended) Fuglede-Kadison determinant of f raised to
-    the frame exponent. The coefficient picks up -inf or NaN when the
-    extended determinant fails to be finite, keeping the element well formed.
+    the frame exponent, as :func:`fk_det_extended` certifies it. The
+    coefficient becomes infinite when the certificate is Divergent and NaN
+    when it is Inconclusive, keeping the element well formed.
     """
-    density = singular_density(f, tol)
-    if density.zero_mass > 1e-8 or abs(
-        f.target.dim_tau - (f.source.dim_tau - density.zero_mass)
-    ) > 1e-8:
+    log_det, verdict = fk_det_extended(f, tol)
+    if not (verdict.injective and verdict.dense_image):
         raise NotAnIsomorphismError("push_forward needs an injective dense map")
-    log_det = density.log_moment()
     if label is None:
         candidates = [
             fr.label for fr, _ in element.word if fr.obj.same_space(f.source)
@@ -198,13 +196,15 @@ def canonical_element(f: Morphism, labels=("source", "target")) -> DetLineElemen
 
 
 def orthogonal_section(beta: Morphism, tol: float = DEFAULT_RANK_TOL) -> Morphism:
-    """Right inverse of a surjection landing in the orthocomplement of ker."""
+    """Right inverse of a surjection landing in the orthocomplement of ker.
+
+    Fiberwise the pseudo-inverse Vh[:r]^H diag(1/s[:r]) U[:, :r]^H over the
+    singular triplets that :func:`fiber_svds` keeps, taken back from
+    standardized coordinates.
+    """
     blocks = []
-    for i, bstd in enumerate(beta.standardized_blocks()):
-        if min(bstd.shape) == 0:
-            blocks.append(np.zeros((bstd.shape[1], bstd.shape[0]), dtype=complex))
-            continue
-        g = np.linalg.pinv(bstd, rcond=tol)
+    for i, (r, u, s, vh) in enumerate(fiber_svds(beta, tol)):
+        g = (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
         if beta.target.products[i] is not None:
             g = g @ beta.target.std_factor(i)
         if beta.source.products[i] is not None:
@@ -214,22 +214,24 @@ def orthogonal_section(beta: Morphism, tol: float = DEFAULT_RANK_TOL) -> Morphis
 
 
 def check_exactness(alpha: Morphism, beta: Morphism, tol: float = DEFAULT_RANK_TOL):
-    """Verify sub --alpha--> total --beta--> quot is short exact; raise if not."""
+    """Verify sub --alpha--> total --beta--> quot is short exact; raise if not.
+
+    Reads the ranks of alpha and beta off :func:`fiber_svds`.
+    """
     if not alpha.target.same_space(beta.source):
         raise ShapeMismatchError("middle objects of the sequence differ")
     comp = compose(beta, alpha)
     scale = max(alpha.norm() * beta.norm(), 1.0)
     if max(np.linalg.norm(b) for b in comp.blocks) > 1e-8 * scale:
         raise NotExactError("composition beta alpha is not numerically zero")
-    ker_a, im_a = kernel_and_image_closure(alpha, tol)
-    ker_b, im_b = kernel_and_image_closure(beta, tol)
-    if ker_a.dim_tau > 1e-8:
+    weights = alpha.backend.fiber_weights
+    rank_a = np.array([r for r, *_ in fiber_svds(alpha, tol, vectors=False)])
+    rank_b = np.array([r for r, *_ in fiber_svds(beta, tol, vectors=False)])
+    if np.dot(weights, alpha.source.dims - rank_a) > 1e-8:
         raise NotExactError("the sub map is not injective")
-    if abs(im_b.dim_tau - beta.target.dim_tau) > 1e-8:
+    if abs(np.dot(weights, rank_b) - beta.target.dim_tau) > 1e-8:
         raise NotExactError("the quotient map is not surjective")
-    if any(
-        ia != kb for ia, kb in zip(im_a.space.dims, ker_b.space.dims)
-    ):
+    if np.any(rank_a != beta.source.dims - rank_b):
         raise NotExactError("image of the sub map does not fill ker of the quotient map")
 
 

@@ -33,10 +33,12 @@ from .backends import (
     compose,
     direct_sum_morphisms,
     direct_sum_objects,
+    fiber_svds,
     full_subobject,
     kernel_and_image_closure,
     orthocomplement,
     scale_morphism,
+    subobject_from_std_frames,
     zero_morphism,
 )
 from .detline import (
@@ -57,7 +59,6 @@ from .spectral import (
     SpectralDensity,
     classify_determinant,
     ns_exponent,
-    singular_density,
 )
 
 
@@ -71,13 +72,13 @@ class ExtendedObject:
 
     ``alpha`` is injective (the kernel of the defining morphism is quotiented
     away on construction); ``projective`` spans the orthocomplement of
-    cl(im alpha) in the target; ``torsion_map`` is alpha corestricted onto
-    cl(im alpha), an injective map with dense image.
+    cl(im alpha) in the target. The torsion part, alpha corestricted onto
+    cl(im alpha), is an injective map with dense image; ``torsion_profile``
+    is the density of its singular values and ``verdict`` its certificate.
     """
 
     alpha: Morphism
     projective: SubObject
-    torsion_map: Morphism
     torsion_profile: SpectralDensity
     verdict: DetClassVerdict
 
@@ -109,19 +110,25 @@ class ExtendedObject:
 def extended_object(alpha: Morphism, tol: float = DEFAULT_RANK_TOL) -> ExtendedObject:
     """Normalize a morphism into an extended object.
 
-    The kernel of alpha is removed from the source (the class of the object
-    does not change), the target splits orthogonally into cl(im alpha) and
-    the projective part, and the spectral density of the corestriction is
-    classified.
+    Everything is read off one fiberwise SVD U diag(s) Vh of alpha
+    (:func:`fiber_svds`) with r kept singular values: the kernel (the
+    trailing rows of Vh) is removed from the source, which does not change
+    the class of the object; the projective part is spanned by the trailing
+    columns of U; and the torsion part has the kept values s[:r] as its
+    singular values, whose density is classified. The source keeps the
+    coordinates of the orthocomplement of the kernel, so an injective alpha
+    keeps identity source coordinates.
     """
-    ker, im = kernel_and_image_closure(alpha, tol)
-    coker = orthocomplement(im)
-    src_core = orthocomplement(ker)
-    alpha_inj = compose(alpha, src_core.include())
-    torsion_map = im.compress(alpha_inj, full_subobject(src_core.space))
-    density = singular_density(torsion_map, tol)
-    verdict = classify_determinant(density)
-    return ExtendedObject(alpha_inj, coker, torsion_map, density, verdict)
+    svds = fiber_svds(alpha, tol)
+    ker = subobject_from_std_frames(
+        alpha.source, [vh[r:].conj().T for r, _, _, vh in svds]
+    )
+    coker = subobject_from_std_frames(alpha.target, [u[:, r:] for r, u, _, _ in svds])
+    alpha_inj = compose(alpha, orthocomplement(ker).include())
+    density = SpectralDensity.from_fibers(
+        [s[:r] for r, _, s, _ in svds], alpha.backend.fiber_weights
+    )
+    return ExtendedObject(alpha_inj, coker, density, classify_determinant(density))
 
 
 def det_line_of_extended(
@@ -295,10 +302,6 @@ class CohomologyProfile:
 
     def betti(self, i: int) -> float:
         return self.degrees[i].betti
-
-    @property
-    def total_betti(self) -> float:
-        return sum(d.betti for d in self.degrees)
 
     @property
     def determinant_class(self) -> bool:

@@ -20,6 +20,7 @@ import numpy as np
 from .backends import (
     DEFAULT_RANK_TOL,
     Morphism,
+    fiber_svds,
     uniform_stack,
 )
 from .errors import NotSelfAdjointError, ShapeMismatchError
@@ -80,46 +81,32 @@ class SpectralDensity:
         """Integral of ln(lam) over the whole positive spectrum (may be -inf)."""
         return self.log_moment_above(0.0)
 
-    def restricted(self, low: float, high: float) -> "SpectralDensity":
-        """Density of the part of the spectrum inside (low, high]."""
-        sel = (self.values > low) & (self.values <= high)
-        mass = float(self.masses[sel].sum())
-        return SpectralDensity(self.values[sel], self.masses[sel], 0.0, mass)
-
-
-def _fiber_singulars(f: Morphism) -> list:
-    """Singular values of the standardized blocks, fiberwise (batched if uniform)."""
-    blocks = f.standardized_blocks()
-    stacked = uniform_stack(blocks)
-    if stacked is not None:
-        return list(np.linalg.svd(stacked, compute_uv=False))
-    out = []
-    for b in blocks:
-        if min(b.shape) == 0:
-            out.append(np.zeros(0))
+    @classmethod
+    def from_fibers(cls, values: list, weights: np.ndarray, dims=None) -> "SpectralDensity":
+        """Density of the per-fiber positive values ``values[f]``, each of
+        mass ``weights[f]``. With ``dims`` (the source dimension of each
+        fiber) the dimensions the values leave over are kernel mass;
+        without, there is no kernel mass."""
+        counts = [len(v) for v in values]
+        masses = np.repeat(weights, counts)
+        if dims is None:
+            zero_mass, total = 0.0, float(masses.sum())
         else:
-            out.append(np.linalg.svd(b, compute_uv=False))
-    return out
+            zero_mass = float(np.dot(weights, np.subtract(dims, counts)))
+            total = float(np.dot(weights, dims))
+        values = np.concatenate(values) if len(values) else np.zeros(0)
+        return cls(values, masses, zero_mass, total)
 
 
 def singular_density(f: Morphism, tol: float = DEFAULT_RANK_TOL) -> SpectralDensity:
     """Spectral density of |f| = (f* f)^(1/2).
 
-    Per fiber, singular values at or below ``tol`` times the largest
-    singular value of that fiber count as kernel mass.
+    The singular values are those of :func:`fiber_svds` (values only):
+    per fiber, values at or below ``tol`` times the largest one count as
+    kernel mass.
     """
-    weights = f.backend.fiber_weights
-    vals, masses = [], []
-    zero_mass = 0.0
-    for i, (w, s) in enumerate(zip(weights, _fiber_singulars(f))):
-        smax = s[0] if len(s) else 0.0
-        pos = s[s > tol * smax] if smax > 0 else s[:0]
-        vals.append(pos)
-        masses.append(np.full(len(pos), w))
-        zero_mass += w * (f.source.dims[i] - len(pos))
-    values = np.concatenate(vals) if vals else np.zeros(0)
-    mass = np.concatenate(masses) if masses else np.zeros(0)
-    return SpectralDensity(values, mass, zero_mass, f.source.dim_tau)
+    kept = [s[:r] for r, _, s, _ in fiber_svds(f, tol, vectors=False)]
+    return SpectralDensity.from_fibers(kept, f.backend.fiber_weights, f.source.dims)
 
 
 def spectral_density(
@@ -142,19 +129,11 @@ def spectral_density(
         eigs = [
             np.linalg.eigvalsh(b) if b.size else np.zeros(0) for b in blocks
         ]
-    weights = m.backend.fiber_weights
-    vals, masses = [], []
-    zero_mass = 0.0
-    for i, (w, ev) in enumerate(zip(weights, eigs)):
+    kept = []
+    for ev in eigs:
         emax = float(np.max(np.abs(ev))) if len(ev) else 0.0
-        cut = tol * emax
-        pos = ev[ev > cut]
-        zero_mass += w * (m.source.dims[i] - len(pos))
-        vals.append(pos)
-        masses.append(np.full(len(pos), w))
-    values = np.concatenate(vals) if vals else np.zeros(0)
-    mass = np.concatenate(masses) if masses else np.zeros(0)
-    return SpectralDensity(values, mass, zero_mass, m.source.dim_tau)
+        kept.append(ev[ev > tol * emax])
+    return SpectralDensity.from_fibers(kept, m.backend.fiber_weights, m.source.dims)
 
 
 # ---------------------------------------------------------------------------

@@ -83,12 +83,6 @@ def _zero_sub(obj: HObject) -> SubObject:
     return SubObject(obj, tuple(np.zeros((d, 0), complex) for d in obj.dims))
 
 
-def _density(values: list, weights: np.ndarray) -> SpectralDensity:
-    """Trace-weighted density of per-fiber positive values, no kernel mass."""
-    masses = np.repeat(weights, [len(v) for v in values])
-    return SpectralDensity(np.concatenate(values), masses, 0.0, float(masses.sum()))
-
-
 @dataclass
 class HodgeSplit:
     """Per-degree orthogonal decomposition C^i = Harm (+) cl(im d) (+) W,
@@ -118,7 +112,7 @@ class HodgeSplit:
 
     def density(self, i: int) -> SpectralDensity:
         """Trace-weighted density of the kept singular values of d_i."""
-        return _density(self.singular[i], self.weights)
+        return SpectralDensity.from_fibers(self.singular[i], self.weights)
 
     def detclass(self) -> list:
         """Determinant-class verdict of each degree: degree i certifies the
@@ -190,7 +184,8 @@ def _fold(split: HodgeSplit, values: list, prefix: str) -> tuple:
         space = HObject(split.coexact[i].ambient.backend, tuple(len(s) for s in fibers))
         if space.dim_tau <= 0:
             continue
-        verdict = classify_determinant(_density(fibers, split.weights))
+        density = SpectralDensity.from_fibers(fibers, split.weights)
+        verdict = classify_determinant(density)
         if verdict.convergent:
             log_coeff += (-1) ** (i + 1) * verdict.log_integral
         else:

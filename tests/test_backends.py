@@ -189,6 +189,21 @@ class TestValidation:
         with pytest.raises(InputValidationError):
             matrix_object(backend, 2, product=np.diag([1.0, -1.0]))
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_scale_rejected(self, scale):
+        with pytest.raises(InputValidationError):
+            matrix_backend(scale)
+        with pytest.raises(InputValidationError):
+            family_backend(uniform_interval_samples(4), scale)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_nonfinite_sample_rejected(self, column, value):
+        samples = uniform_interval_samples(4)
+        samples[2, column] = value
+        with pytest.raises(InputValidationError):
+            family_backend(samples)
+
 
 @given(lam=st.complex_numbers(min_magnitude=0.1, max_magnitude=10, allow_nan=False))
 @settings(max_examples=50, deadline=None)

@@ -6,7 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from l2torsion.backends import matrix_backend, matrix_morphism, matrix_object
+from l2torsion.backends import (
+    family_backend,
+    family_morphism,
+    family_object,
+    matrix_backend,
+    matrix_morphism,
+    matrix_object,
+    uniform_interval_samples,
+)
 from l2torsion.cli import EXIT_INVALID, EXIT_NO_SCALAR, EXIT_OK, main
 from l2torsion.serialize import morphism_to_json
 
@@ -128,6 +136,22 @@ class TestMorphismCommands:
 
     def test_missing_morphism_flag(self):
         assert main(["fkdet"]) == EXIT_INVALID
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", ["scale", "weight"])
+    def test_nonfinite_trace_data_rejected(self, tmp_path, caplog, where, value):
+        if where == "scale":
+            obj = matrix_object(matrix_backend(), 1)
+            payload = morphism_to_json(matrix_morphism(obj, obj, [[2.0]]))
+            payload["backend"]["scale"] = value
+        else:
+            obj = family_object(family_backend(uniform_interval_samples(4)), 1)
+            payload = morphism_to_json(family_morphism(obj, obj, [[[2.0]]] * 4))
+            payload["backend"]["samples"][1][1] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        assert main(["fkdet", "--morphism", str(path)]) == EXIT_INVALID
+        assert "finite" in caplog.text
 
 
 class TestDetclassCommand:

@@ -10,6 +10,7 @@ from l2torsion.backends import (
     matrix_backend,
     matrix_morphism,
     matrix_object,
+    uniform_interval_samples,
     zero_morphism,
 )
 from l2torsion.detline import (
@@ -25,8 +26,8 @@ from l2torsion.detline import (
     unit_element,
 )
 from l2torsion.errors import NotAnIsomorphismError, NotExactError
-from l2torsion.harness import random_invertible_morphism
-from l2torsion.spectral import log_fk_det
+from l2torsion.harness import family_multiplication_map, random_invertible_morphism
+from l2torsion.spectral import fk_det_extended, log_fk_det
 
 
 def _mat(n, data=None, product=None):
@@ -100,6 +101,16 @@ class TestPushForward:
         f = random_invertible_morphism(rng, backend, 3)
         x = canonical_element(f)
         assert x.log_coeff == pytest.approx(log_fk_det(f), abs=1e-10)
+
+    def test_push_forward_along_inconclusive_map_is_nan(self):
+        """An injective dense map whose determinant is not certified moves
+        the coefficient to NaN, as canonical_element reports it."""
+        xs = uniform_interval_samples(256)[:, 0]
+        f = family_multiplication_map(10.0 ** (-9.5 * xs))
+        assert fk_det_extended(f)[1].status == "Inconclusive"
+        y = push_forward(standard_element(f.source, "s"), f, new_label="t")
+        assert math.isnan(y.log_coeff)
+        assert math.isnan(canonical_element(f).log_coeff)
 
 
 def _split_triple(rng, k=2, m=5):

@@ -29,7 +29,6 @@ import json
 import os
 
 import numpy as np
-import pytest
 
 from l2torsion.backends import Morphism, expand_group_matrix
 from l2torsion.cellular import (
@@ -203,7 +202,16 @@ def _runs() -> dict:
     return runs
 
 
-@pytest.mark.parametrize("rec", _load(), ids=lambda r: f"{r['name']}@{r['factor']:.3g}")
+def pytest_generate_tests(metafunc):
+    # the fixture is read at collection, never on import, so that running
+    # this file as the recorder works while its output overwrites the fixture
+    if "rec" in metafunc.fixturenames:
+        recs = _load()
+        metafunc.parametrize(
+            "rec", recs, ids=[f"{r['name']}@{r['factor']:.3g}" for r in recs]
+        )
+
+
 def test_matches_recording(rec):
     got = _summary(_runs()[(rec["name"], rec["factor"])]())
     assert _close(got["epsilon"], rec["epsilon"], rel=1e-6)

@@ -39,3 +39,18 @@ def test_grid_refinement_error_is_ln2_over_n():
     for row in rows:
         grid, value = int(row.split()[0]), float(row.split()[1])
         assert abs(value - 1.0) <= 1.01 * math.log(2.0) / grid
+
+
+def test_benchmark_tracer_installs():
+    """The benchmark tracer wraps library methods by name; it must still
+    find every one of them."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from tracer import Tracer; Tracer().install()"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code, os.path.join(ROOT, "benchmark")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
