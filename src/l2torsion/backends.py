@@ -14,16 +14,19 @@ Three backends are supported:
   over a finite sample set {(xi_j, w_j)}; the trace integrates fiber
   traces against the weights.
 
-All three reduce to the same internal picture: a morphism is a list of
+All three reduce to the same internal picture: a morphism is a family of
 complex blocks, one per "fiber", each fiber carrying a positive trace
-weight. Every numerical operation downstream (spectra, determinants,
-frames) works fiberwise on that picture.
+weight. The blocks are stored as shape groups (:class:`Fibers`): the
+fibers of one block shape form one stacked array, so every numerical
+operation downstream (spectra, determinants, frames) is one numpy call per
+group rather than one Python iteration per fiber.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
@@ -36,6 +39,7 @@ from .errors import (
 )
 
 DEFAULT_RANK_TOL = 1e-10
+_COMPLEX = np.dtype(complex)
 
 
 class BackendKind(str, Enum):
@@ -74,6 +78,7 @@ class CategoryBackend:
     sample_points: np.ndarray | None = None  # rows (xi_j, w_j)
 
     def __post_init__(self) -> None:
+        self._weights = None
         self.kind = BackendKind(self.kind)
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise InputValidationError("trace scale must be finite and positive")
@@ -88,6 +93,8 @@ class CategoryBackend:
             pts = np.asarray(self.sample_points, dtype=float)
             if pts.ndim != 2 or pts.shape[1] != 2:
                 raise InputValidationError("sample points must be rows (xi, w)")
+            if not len(pts):
+                raise InputValidationError("Family backend needs at least one sample")
             if not np.all(np.isfinite(pts)):
                 raise InputValidationError("sample points must be finite")
             if np.any(pts[:, 1] <= 0):
@@ -107,12 +114,18 @@ class CategoryBackend:
 
     @property
     def fiber_weights(self) -> np.ndarray:
-        """Trace weight per internal fiber (already includes ``scale``)."""
-        if self.kind is BackendKind.MATRIX:
-            return np.array([self.scale])
-        if self.kind is BackendKind.FINITE_GROUP:
-            return np.array([self.scale / self.group_order])
-        return self.scale * self.sample_points[:, 1]
+        """Trace weight per internal fiber (already includes ``scale``);
+        computed once, read-only."""
+        if self._weights is None:
+            if self.kind is BackendKind.MATRIX:
+                w = np.array([self.scale])
+            elif self.kind is BackendKind.FINITE_GROUP:
+                w = np.array([self.scale / self.group_order])
+            else:
+                w = self.scale * self.sample_points[:, 1]
+            w.flags.writeable = False
+            self._weights = w
+        return self._weights
 
     def with_scale(self, scale: float) -> "CategoryBackend":
         return CategoryBackend(
@@ -120,6 +133,8 @@ class CategoryBackend:
         )
 
     def same_as(self, other: "CategoryBackend") -> bool:
+        if self is other:
+            return True
         if self.kind is not other.kind or self.scale != other.scale:
             return False
         if self.kind is BackendKind.FINITE_GROUP:
@@ -223,79 +238,334 @@ def extract_group_coeffs(table: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# stacked fibers
+
+
+_RANGES: dict = {}
+
+
+def fiber_range(n: int) -> np.ndarray:
+    """np.arange(n), shared: the index array of a group of all n fibers.
+
+    Sharing it keeps one array per fiber count and lets :func:`align`
+    recognize equal groupings by identity.
+    """
+    r = _RANGES.get(n)
+    if r is None:
+        r = _RANGES[n] = np.arange(n)
+        r.flags.writeable = False
+    return r
+
+
+def partition(keys: np.ndarray) -> list:
+    """[(idx, key)]: the positions of each distinct key, ascending."""
+    if len(keys) == 1 or (len(keys) and (keys == keys[0]).all()):
+        return [(fiber_range(len(keys)), keys[0])]
+    values, inverse = np.unique(keys, return_inverse=True)
+    order = np.argsort(inverse, kind="stable")
+    return list(zip(np.split(order, np.cumsum(np.bincount(inverse))[:-1]), values))
+
+
+def _merge(groups: list) -> list:
+    """Groups of one shape joined into one, indices ascending."""
+    by_shape: dict = {}
+    for idx, stack in groups:
+        by_shape.setdefault(stack.shape[1:], []).append((idx, stack))
+    out = []
+    for parts in by_shape.values():
+        if len(parts) == 1:
+            out.append(parts[0])
+            continue
+        idx = np.concatenate([i for i, _ in parts])
+        order = np.argsort(idx, kind="stable")
+        out.append((idx[order], np.concatenate([s for _, s in parts])[order]))
+    return out
+
+
+class Fibers(Sequence):
+    """One array per fiber, stored as shape groups.
+
+    ``groups`` is a tuple of ``(idx, stack)`` pairs, one per distinct fiber
+    shape: ``idx`` holds the ascending indices of the fibers of that shape
+    and ``stack`` their arrays as one array of shape ``(len(idx),) + shape``.
+    The groups partition the ``n`` fibers. Every numerical operation works
+    on whole stacks, one numpy call per group; indexing gives the array of
+    one fiber, a read-only view for callers outside those operations.
+    """
+
+    __slots__ = ("groups", "n", "_where")
+
+    def __init__(self, groups, n: int):
+        if len(groups) != 1 or not len(groups[0][0]):
+            groups = [g for g in groups if len(g[0])]
+            if len(groups) > 1:
+                groups = _merge(groups)
+        self.groups = tuple(groups)
+        self.n = n
+        self._where = None
+
+    @classmethod
+    def stack(cls, stack: np.ndarray) -> "Fibers":
+        """Every fiber in one group: fiber f holds ``stack[f]``."""
+        return cls(((fiber_range(len(stack)), stack),), len(stack))
+
+    @classmethod
+    def from_list(cls, arrays) -> "Fibers":
+        """Group a per-fiber sequence of arrays by shape."""
+        if len(arrays) == 1:
+            return cls.stack(arrays[0][None].copy())
+        by_shape: dict = {}
+        for f, a in enumerate(arrays):
+            by_shape.setdefault(a.shape, []).append(f)
+        if len(by_shape) == 1:
+            return cls.stack(np.stack(arrays))
+        return cls(
+            [(np.array(fs), np.stack([arrays[f] for f in fs])) for fs in by_shape.values()],
+            len(arrays),
+        )
+
+    def _locate(self) -> tuple:
+        """(group, position) of every fiber."""
+        if self._where is None:
+            group, pos = np.empty(self.n, np.intp), np.empty(self.n, np.intp)
+            for g, (idx, _) in enumerate(self.groups):
+                group[idx] = g
+                pos[idx] = np.arange(len(idx))
+            self._where = (group, pos)
+        return self._where
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, f):
+        if len(self.groups) == 1:  # then the group's indices are range(n)
+            return self.groups[0][1][f]
+        group, pos = self._locate()
+        return self.groups[group[f]][1][pos[f]]
+
+    def __iter__(self):
+        return (self[f] for f in range(self.n))
+
+    def take(self, idx: np.ndarray) -> np.ndarray:
+        """The stacked arrays of the fibers ``idx``, which share one shape."""
+        if len(self.groups) == 1:  # then the group's indices are range(n)
+            (own, stack), pos = self.groups[0], idx
+        else:
+            group, where = self._locate()
+            (own, stack), pos = self.groups[group[idx[0]]], where[idx]
+        if own is idx or (len(own) == len(idx) and np.array_equal(own, idx)):
+            return stack
+        return stack[pos]
+
+    def map(self, fn) -> "Fibers":
+        """``fn`` applied to every stack."""
+        return Fibers([(idx, fn(s)) for idx, s in self.groups], self.n)
+
+    def sizes(self, axis: int) -> np.ndarray:
+        """Extent of every fiber's array along ``axis``."""
+        out = np.empty(self.n, int)
+        if len(self.groups) == 1:
+            out.fill(self.groups[0][1].shape[axis + 1])
+            return out
+        for idx, s in self.groups:
+            out[idx] = s.shape[axis + 1]
+        return out
+
+
+def align(*parts: Fibers) -> list:
+    """[(idx, [stack of each part])] over the common refinement of the
+    shape groups of several Fibers of the same fibers."""
+    first = parts[0].groups
+    if len(first) == 1:  # the common case: every part is one group
+        idx = first[0][0]
+        for p in parts[1:]:
+            if len(p.groups) != 1 or p.groups[0][0] is not idx:
+                break
+        else:
+            return [(idx, [p.groups[0][1] for p in parts])]
+    if all(
+        len(p.groups) == len(first)
+        and all(a is b or np.array_equal(a, b) for (a, _), (b, _) in zip(p.groups, first))
+        for p in parts[1:]
+    ):
+        return [(idx, [p.groups[k][1] for p in parts]) for k, (idx, _) in enumerate(first)]
+    key = np.zeros(parts[0].n, np.intp)
+    for p in parts:
+        key = key * len(p.groups) + p._locate()[0]
+    return [(idx, [p.take(idx) for p in parts]) for idx, _ in partition(key)]
+
+
+def _eye_stack(k: int, d: int) -> np.ndarray:
+    return np.repeat(np.eye(d, dtype=complex)[None], k, axis=0)
+
+
+def hermitian(stack: np.ndarray) -> np.ndarray:
+    return np.swapaxes(stack, -1, -2).conj()
+
+
+def frobenius(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a nonempty stack, computed after
+    dividing by the largest entry magnitude, so it does not overflow."""
+    a = np.abs(stack)
+    top = a.max(axis=(1, 2))
+    unit = np.where(top > 0, top, 1.0)[:, None, None]
+    return top * np.sqrt(((a / unit) ** 2).sum(axis=(1, 2)))
+
+
+@dataclass
+class FiberValues:
+    """Values attached to fibers, flat: ``values[k]`` belongs to fiber
+    ``fiber[k]``; within a fiber they keep their column order."""
+
+    values: np.ndarray
+    fiber: np.ndarray
+
+    def select(self, mask: np.ndarray) -> "FiberValues":
+        return FiberValues(self.values[mask], self.fiber[mask])
+
+    def counts(self, n: int) -> np.ndarray:
+        """Number of values of each of the n fibers."""
+        return np.bincount(self.fiber, minlength=n)
+
+
+# ---------------------------------------------------------------------------
 # objects and morphisms
 
 
-def _as_product_list(dims, products):
-    if products is None:
-        return tuple(None for _ in dims)
-    out = []
-    for d, p in zip(dims, products):
-        if p is None:
-            out.append(None)
-            continue
-        p = np.asarray(p, dtype=complex)
-        if p.shape != (d, d):
+def _as_gram(dims: np.ndarray, products) -> tuple:
+    """(product operators as Fibers, identity on standard fibers; which
+    fibers were given one), or (None, None) when every fiber is standard."""
+    if isinstance(products, Fibers):
+        gram, given = products, np.ones(len(dims), bool)
+    else:
+        if len(products) != len(dims):
+            raise ShapeMismatchError("need one product operator per fiber")
+        given = np.array([p is not None for p in products])
+        if not given.any():
+            return None, None
+        mats = []
+        for d, p in zip(dims.tolist(), products):
+            p = np.eye(d, dtype=complex) if p is None else np.asarray(p, dtype=complex)
+            if p.shape != (d, d):
+                raise ShapeMismatchError("product operator shape mismatch")
+            mats.append(p)
+        gram = Fibers.from_list(mats)
+    for idx, p in gram.groups:
+        if p.shape[1:] != (p.shape[1], p.shape[1]) or np.any(dims[idx] != p.shape[1]):
             raise ShapeMismatchError("product operator shape mismatch")
-        out.append(p)
-    return tuple(out)
+        if not np.isfinite(p).all():
+            raise InputValidationError("product operators must be finite")
+        if not p.shape[1]:
+            continue
+        size = np.maximum(np.linalg.norm(p, axis=(1, 2)), 1.0)
+        if np.any(np.linalg.norm(p - hermitian(p), axis=(1, 2)) > 1e-10 * size):
+            raise InputValidationError("product operator must be self-adjoint")
+        if np.linalg.eigvalsh(p).min() <= DEFAULT_RANK_TOL:
+            raise InputValidationError("product operator must be positive definite")
+    return gram, given
 
 
-@dataclass(eq=False)
 class HObject:
     """Object of the category: fibered Hilbert space with admissible product.
 
-    ``dims`` are the internal (expanded) complex fiber dimensions.
-    ``products`` are fiberwise positive definite operators; ``None`` means
-    the standard product on that fiber.
+    ``dims`` are the internal (expanded) complex fiber dimensions, also
+    kept as the array ``dim_array``. ``products`` are fiberwise positive
+    definite operators, given per fiber (``None`` means the standard product
+    on that fiber) or as :class:`Fibers`; they are kept as the Fibers
+    ``gram``, with the identity on standard fibers, or ``gram`` is None
+    when every fiber is standard.
     """
 
-    backend: CategoryBackend
-    dims: tuple
-    products: tuple = None
-    native_shape: object = None  # n / rank k / per-sample dims, when known
+    __slots__ = ("backend", "dims", "uniform_dim", "native_shape", "gram",
+                 "_given", "_dim_array", "_factors", "_dim_groups")
 
-    def __post_init__(self) -> None:
-        self.dims = tuple(int(d) for d in self.dims)
-        if len(self.dims) != self.backend.n_fibers:
+    def __init__(self, backend: CategoryBackend, dims, products=None,
+                 native_shape=None) -> None:
+        self.backend = backend
+        self._dim_array = None
+        if isinstance(dims, np.ndarray):
+            self._dim_array = dims.astype(int, copy=False).reshape(-1)
+            dims = self._dim_array.tolist()
+        self.dims = tuple(map(int, dims))
+        if len(self.dims) != backend.n_fibers:
             raise ShapeMismatchError("fiber count does not match backend")
-        self.products = _as_product_list(self.dims, self.products)
-        for p in self.products:
-            if p is None or p.size == 0:
-                continue
-            if np.linalg.norm(p - p.conj().T) > 1e-10 * max(np.linalg.norm(p), 1.0):
-                raise InputValidationError("product operator must be self-adjoint")
-            if np.linalg.eigvalsh(p).min() <= DEFAULT_RANK_TOL:
-                raise InputValidationError("product operator must be positive definite")
+        # the common dimension of all fibers, or None
+        d = self.dims[0]
+        self.uniform_dim = d if self.dims.count(d) == len(self.dims) else None
+        self.native_shape = native_shape
+        self.gram, self._given = (None, None) if products is None else _as_gram(
+            self.dim_array, products
+        )
+        self._factors = None
+        self._dim_groups = None
+
+    @property
+    def dim_array(self) -> np.ndarray:
+        """``dims`` as an array."""
+        if self._dim_array is None:
+            self._dim_array = np.array(self.dims)
+        return self._dim_array
+
+    @property
+    def products(self) -> tuple:
+        """Per fiber, the product operator, or None for the standard one."""
+        if self.gram is None:
+            return (None,) * len(self.dims)
+        return tuple(self.gram[f] if g else None for f, g in enumerate(self._given))
 
     @property
     def dim_tau(self) -> float:
-        return float(np.dot(self.backend.fiber_weights, self.dims))
+        if len(self.dims) == 1:
+            return float(self.backend.fiber_weights[0] * self.dims[0])
+        return float(np.dot(self.backend.fiber_weights, self.dim_array))
+
+    def dim_groups(self) -> list:
+        """[(idx, d)]: the fibers of each dimension d."""
+        if self.uniform_dim is not None:
+            return [(fiber_range(len(self.dims)), self.uniform_dim)]
+        if self._dim_groups is None:
+            self._dim_groups = [(idx, int(d)) for idx, d in partition(self.dim_array)]
+        return self._dim_groups
+
+    def factors(self):
+        """(S, S^-1) as Fibers, with S upper triangular and S^H S = P, so
+        that x -> Sx orthonormalizes; None when every fiber is standard."""
+        if self.gram is None:
+            return None
+        if self._factors is None:
+            upper = self.gram.map(lambda p: hermitian(np.linalg.cholesky(p)))
+            self._factors = (upper, upper.map(np.linalg.inv))
+        return self._factors
+
+    def product_fibers(self) -> Fibers:
+        """The product operators as Fibers, identities included."""
+        if self.gram is not None:
+            return self.gram
+        return Fibers([(idx, _eye_stack(len(idx), d)) for idx, d in self.dim_groups()],
+                      len(self.dims))
 
     def product_matrix(self, f: int) -> np.ndarray:
-        p = self.products[f]
-        if p is None:
+        if self.gram is None:
             return np.eye(self.dims[f], dtype=complex)
-        return p
+        return self.gram[f]
 
     def std_factor(self, f: int) -> np.ndarray:
         """Upper-triangular S with S^H S = P; x -> Sx orthonormalizes fiber f."""
-        p = self.products[f]
-        if p is None:
+        if self.gram is None:
             return np.eye(self.dims[f], dtype=complex)
-        return np.linalg.cholesky(p).conj().T
+        return self.factors()[0][f]
 
     def with_products(self, products) -> "HObject":
-        return HObject(self.backend, self.dims, products, self.native_shape)
+        return HObject(self.backend, self.dim_array, products, self.native_shape)
 
     def log_det_product(self) -> float:
         """log Det_tau of the product operator relative to standard coordinates."""
-        total = 0.0
-        for w, p in zip(self.backend.fiber_weights, self.products):
-            if p is not None:
-                sign, ld = np.linalg.slogdet(p)
-                total += w * ld
-        return total
+        if self.gram is None:
+            return 0.0
+        w = self.backend.fiber_weights
+        return float(sum(
+            np.dot(w[idx], np.linalg.slogdet(p)[1]) for idx, p in self.gram.groups
+        ))
 
     def same_space(self, other: "HObject") -> bool:
         return self.backend.same_as(other.backend) and self.dims == other.dims
@@ -326,37 +596,63 @@ def family_object(backend: CategoryBackend, dims, products=None) -> HObject:
     if backend.kind is not BackendKind.FAMILY:
         raise BackendMismatchError("family_object needs a Family backend")
     if np.isscalar(dims):
-        dims = tuple(int(dims) for _ in range(backend.n_fibers))
-    return HObject(backend, tuple(dims), products, native_shape=tuple(dims))
+        dims = np.full(backend.n_fibers, int(dims))
+    dims = tuple(np.asarray(dims, dtype=int).tolist())
+    return HObject(backend, dims, products, native_shape=dims)
 
 
-@dataclass(eq=False)
+def _shape_groups(target: HObject, source: HObject) -> list:
+    """[(idx, (m, n))]: the fibers of each block shape m x n of the maps
+    from source to target."""
+    if target.uniform_dim is not None and source.uniform_dim is not None:
+        return [(fiber_range(len(source.dims)), (target.uniform_dim, source.uniform_dim))]
+    rows, cols = target.dim_array, source.dim_array
+    return [
+        (idx, divmod(int(key), int(cols.max()) + 1))
+        for idx, key in partition(rows * (int(cols.max()) + 1) + cols)
+    ]
+
+
+@dataclass(eq=False, slots=True)
 class Morphism:
-    """Fibered linear map between objects of the same backend."""
+    """Fibered linear map between objects of the same backend.
+
+    ``blocks`` holds one complex block of shape (target dim, source dim) per
+    fiber, stored as :class:`Fibers`: one stacked array per distinct
+    (target_dim, source_dim). A Matrix or FiniteGroup morphism, or a Family
+    whose fibers share their dimensions, is one group. The constructor also
+    accepts a per-fiber sequence of blocks; ``blocks`` then still reads as
+    that sequence, a read-only view. Blocks must be finite.
+    """
 
     source: HObject
     target: HObject
-    blocks: tuple
+    blocks: Fibers
 
     def __post_init__(self) -> None:
-        if not self.source.backend.same_as(self.target.backend):
+        source, target, blocks = self.source, self.target, self.blocks
+        backend = source.backend
+        if backend is not target.backend and not backend.same_as(target.backend):
             raise BackendMismatchError("source/target backends differ")
-        if len(self.blocks) != self.source.backend.n_fibers:
-            raise ShapeMismatchError(
-                f"{len(self.blocks)} blocks for {self.source.backend.n_fibers} fibers"
-            )
-        blocks = []
-        for f, b in enumerate(self.blocks):
-            b = np.asarray(b, dtype=complex)
-            expect = (self.target.dims[f], self.source.dims[f])
-            if b.size == 0:
-                b = b.reshape(expect)
-            if b.shape != expect:
-                raise ShapeMismatchError(
-                    f"fiber {f}: block shape {b.shape}, expected {expect}"
-                )
-            blocks.append(b)
-        self.blocks = tuple(blocks)
+        if len(blocks) != backend.n_fibers:
+            raise ShapeMismatchError(f"{len(blocks)} blocks for {backend.n_fibers} fibers")
+        if type(blocks) is not Fibers:
+            blocks = _grouped_blocks(source, target, blocks)
+        rows, cols = target.uniform_dim, source.uniform_dim
+        convert = False
+        for idx, b in blocks.groups:
+            if b.ndim != 3 or (
+                b.shape[1] != rows or b.shape[2] != cols
+                if rows is not None and cols is not None
+                else np.any(target.dim_array[idx] != b.shape[1])
+                or np.any(source.dim_array[idx] != b.shape[2])
+            ):
+                raise ShapeMismatchError(f"block stack of shape {b.shape} does not fit")
+            if np.count_nonzero(np.isfinite(b)) != b.size:
+                raise InputValidationError("morphism blocks must be finite")
+            convert = convert or b.dtype != _COMPLEX
+            b.setflags(write=False)
+        self.blocks = blocks.map(_frozen_complex) if convert else blocks
 
     @property
     def backend(self) -> CategoryBackend:
@@ -367,24 +663,31 @@ class Morphism:
         return self.source.same_space(self.target)
 
     def norm(self) -> float:
+        """Largest operator norm of a block."""
         return max(
-            (np.linalg.norm(b, 2) if min(b.shape) else 0.0) for b in self.blocks
+            (float(np.linalg.norm(b[0], 2) if len(b) == 1
+                   else np.linalg.norm(b, 2, axis=(1, 2)).max())
+             for _, b in self.blocks.groups if min(b.shape[1:])),
+            default=0.0,
         )
 
-    def standardized_blocks(self) -> list:
+    def standardized_blocks(self) -> Fibers:
         """Blocks rewritten in orthonormal coordinates of both products.
 
-        A fiber with standard products on both sides returns its own block
-        (not a copy); callers must not write into the result.
+        A morphism with standard products on both sides returns its own
+        blocks (not a copy); callers must not write into the result.
         """
-        out = []
-        for f, b in enumerate(self.blocks):
-            if self.target.products[f] is not None:
-                b = self.target.std_factor(f) @ b
-            if self.source.products[f] is not None:
-                b = b @ np.linalg.inv(self.source.std_factor(f))
-            out.append(b)
-        return out
+        into, out_of = self.target.factors(), self.source.factors()
+        if into is None and out_of is None:
+            return self.blocks
+        groups = []
+        for idx, b in self.blocks.groups:
+            if into is not None:
+                b = into[0].take(idx) @ b
+            if out_of is not None:
+                b = b @ out_of[1].take(idx)
+            groups.append((idx, b))
+        return Fibers(groups, self.blocks.n)
 
     def group_ring_coefficients(self) -> np.ndarray:
         if self.backend.kind is not BackendKind.FINITE_GROUP:
@@ -393,6 +696,27 @@ class Morphism:
 
     def __matmul__(self, other: "Morphism") -> "Morphism":
         return compose(self, other)
+
+
+def _frozen_complex(stack: np.ndarray) -> np.ndarray:
+    stack = stack.astype(complex)
+    stack.setflags(write=False)
+    return stack
+
+
+def _grouped_blocks(source: HObject, target: HObject, blocks) -> Fibers:
+    """A per-fiber sequence of blocks as Fibers, each block checked against
+    its fiber's shape."""
+    arrays = []
+    for f, b in enumerate(blocks):
+        b = np.asarray(b, dtype=complex)
+        expect = (target.dims[f], source.dims[f])
+        if b.size == 0:
+            b = b.reshape(expect)
+        if b.shape != expect:
+            raise ShapeMismatchError(f"fiber {f}: block shape {b.shape}, expected {expect}")
+        arrays.append(b)
+    return Fibers.from_list(arrays)
 
 
 def matrix_morphism(source: HObject, target: HObject, data) -> Morphism:
@@ -410,22 +734,20 @@ def family_morphism(source: HObject, target: HObject, fibers) -> Morphism:
 
 
 def identity_morphism(obj: HObject) -> Morphism:
-    return Morphism(obj, obj, tuple(np.eye(d, dtype=complex) for d in obj.dims))
+    return scalar_morphism(obj, 1.0)
 
 
 def zero_morphism(source: HObject, target: HObject) -> Morphism:
-    return Morphism(
-        source,
-        target,
-        tuple(
-            np.zeros((dt, ds), dtype=complex)
-            for dt, ds in zip(target.dims, source.dims)
-        ),
-    )
+    groups = [
+        (idx, np.zeros((len(idx), m, n), dtype=complex))
+        for idx, (m, n) in _shape_groups(target, source)
+    ]
+    return Morphism(source, target, Fibers(groups, len(source.dims)))
 
 
 def scalar_morphism(obj: HObject, lam: complex) -> Morphism:
-    return Morphism(obj, obj, tuple(lam * np.eye(d, dtype=complex) for d in obj.dims))
+    groups = [(idx, lam * _eye_stack(len(idx), d)) for idx, d in obj.dim_groups()]
+    return Morphism(obj, obj, Fibers(groups, len(obj.dims)))
 
 
 # ---------------------------------------------------------------------------
@@ -443,102 +765,122 @@ def trace(m: Morphism) -> complex:
     if not m.is_endo:
         raise ShapeMismatchError("trace requires source == target")
     w = m.backend.fiber_weights
-    val = sum(wf * np.trace(b) for wf, b in zip(w, m.blocks))
+    val = complex(sum(
+        np.dot(w[idx], np.trace(b, axis1=1, axis2=2)) for idx, b in m.blocks.groups
+    ))
     if abs(val.imag) < 1e-14 * max(abs(val.real), 1.0):
         return float(val.real)
-    return complex(val)
+    return val
 
 
 def dim_tau(obj: HObject) -> float:
     return obj.dim_tau
 
 
+def largest_block_norm(m: Morphism) -> float:
+    """Largest Frobenius norm of a block of m."""
+    return max(
+        (float(np.linalg.norm(b, axis=(1, 2)).max()) for _, b in m.blocks.groups),
+        default=0.0,
+    )
+
+
 def compose(f: Morphism, g: Morphism) -> Morphism:
     """f after g."""
     if not g.target.same_space(f.source):
         raise ShapeMismatchError("compose: target(g) != source(f)")
-    return Morphism(
-        g.source, f.target, tuple(bf @ bg for bf, bg in zip(f.blocks, g.blocks))
-    )
+    return Morphism(g.source, f.target, Fibers(
+        [(idx, a @ b) for idx, (a, b) in align(f.blocks, g.blocks)], f.blocks.n
+    ))
 
 
 def adjoint(f: Morphism) -> Morphism:
     """Adjoint with respect to the products carried by source and target."""
-    blocks = []
-    for i, b in enumerate(f.blocks):
-        ps = f.source.products[i]
-        pt = f.target.products[i]
-        a = b.conj().T
+    ps, pt = f.source.gram, f.target.gram
+    groups = []
+    for idx, b in f.blocks.groups:
+        a = hermitian(b)
         if pt is not None:
-            a = a @ pt
+            a = a @ pt.take(idx)
         if ps is not None:
-            a = np.linalg.solve(ps, a)
-        blocks.append(a)
-    return Morphism(f.target, f.source, tuple(blocks))
+            a = np.linalg.solve(ps.take(idx), a)
+        groups.append((idx, a))
+    return Morphism(f.target, f.source, Fibers(groups, f.blocks.n))
 
 
 def add(f: Morphism, g: Morphism) -> Morphism:
     if not (f.source.same_space(g.source) and f.target.same_space(g.target)):
         raise ShapeMismatchError("add: shapes differ")
-    return Morphism(f.source, f.target, tuple(a + b for a, b in zip(f.blocks, g.blocks)))
+    return Morphism(f.source, f.target, Fibers(
+        [(idx, a + b) for idx, (a, b) in align(f.blocks, g.blocks)], f.blocks.n
+    ))
 
 
 def scale_morphism(f: Morphism, c: complex) -> Morphism:
-    return Morphism(f.source, f.target, tuple(c * b for b in f.blocks))
+    return Morphism(f.source, f.target, f.blocks.map(lambda b: c * b))
+
+
+def block_matrix(rows: list) -> Fibers:
+    """Per fiber, the block matrix whose blocks are those of the morphisms
+    in ``rows`` (a list of rows, each a list of morphisms)."""
+    flat = [m.blocks for row in rows for m in row]
+    groups = []
+    for idx, stacks in align(*flat):
+        it = iter(stacks)
+        groups.append((idx, np.block([[next(it) for _ in row] for row in rows])))
+    return Fibers(groups, flat[0].n)
+
+
+def _block_diagonal(a: Fibers, b: Fibers) -> Fibers:
+    """Per fiber, the block-diagonal matrix with blocks a[f] and b[f]."""
+    groups = []
+    for idx, (x, y) in align(a, b):
+        k, (m1, n1), (m2, n2) = len(idx), x.shape[1:], y.shape[1:]
+        out = np.zeros((k, m1 + m2, n1 + n2), dtype=complex)
+        out[:, :m1, :n1] = x
+        out[:, m1:, n1:] = y
+        groups.append((idx, out))
+    return Fibers(groups, a.n)
 
 
 def direct_sum_objects(a: HObject, b: HObject) -> HObject:
     if not a.backend.same_as(b.backend):
         raise BackendMismatchError("direct sum across different backends")
-    dims = tuple(da + db for da, db in zip(a.dims, b.dims))
-    products = []
-    any_product = any(p is not None for p in a.products + b.products)
-    for f in range(len(dims)):
-        if not any_product:
-            products = None
-            break
-        pa = a.product_matrix(f)
-        pb = b.product_matrix(f)
-        p = np.zeros((dims[f], dims[f]), dtype=complex)
-        p[: a.dims[f], : a.dims[f]] = pa
-        p[a.dims[f] :, a.dims[f] :] = pb
-        products.append(p)
-    return HObject(a.backend, dims, None if products is None else tuple(products))
+    products = None
+    if a.gram is not None or b.gram is not None:
+        products = _block_diagonal(a.product_fibers(), b.product_fibers())
+    return HObject(a.backend, a.dim_array + b.dim_array, products)
 
 
 def direct_sum_morphisms(f: Morphism, g: Morphism) -> Morphism:
     src = direct_sum_objects(f.source, g.source)
     tgt = direct_sum_objects(f.target, g.target)
-    blocks = []
-    for i in range(len(src.dims)):
-        blk = np.zeros((tgt.dims[i], src.dims[i]), dtype=complex)
-        dt, ds = f.target.dims[i], f.source.dims[i]
-        blk[:dt, :ds] = f.blocks[i]
-        blk[dt:, ds:] = g.blocks[i]
-        blocks.append(blk)
-    return Morphism(src, tgt, tuple(blocks))
+    return Morphism(src, tgt, _block_diagonal(f.blocks, g.blocks))
 
 
 # ---------------------------------------------------------------------------
 # subobjects and frames
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class SubObject:
     """A subspace of an ambient object, fiberwise, with orthonormal frames.
 
     ``frames[f]`` has P-orthonormal columns spanning the fiber subspace;
-    ``space`` is the standalone object carried by the subspace (standard
-    products, since the frames are orthonormal).
+    the frames are :class:`Fibers` (a per-fiber sequence is grouped on
+    construction), so fibers whose subspaces have different dimensions sit
+    in different groups. ``space`` is the standalone object carried by the
+    subspace (standard products, since the frames are orthonormal).
     """
 
     ambient: HObject
-    frames: tuple
+    frames: Fibers
+    space: HObject = field(init=False)
 
     def __post_init__(self) -> None:
-        self.frames = tuple(np.asarray(v, complex) for v in self.frames)
-        dims = tuple(v.shape[1] for v in self.frames)
-        self.space = HObject(self.ambient.backend, dims)
+        if not isinstance(self.frames, Fibers):
+            self.frames = Fibers.from_list([np.asarray(v, complex) for v in self.frames])
+        self.space = HObject(self.ambient.backend, self.frames.sizes(1))
 
     @property
     def dim_tau(self) -> float:
@@ -550,69 +892,130 @@ class SubObject:
 
     def project(self) -> Morphism:
         """Orthogonal projection ambient -> space (adjoint of include)."""
-        blocks = []
-        for f, v in enumerate(self.frames):
-            p = self.ambient.products[f]
-            blocks.append(v.conj().T if p is None else v.conj().T @ p)
-        return Morphism(self.ambient, self.space, tuple(blocks))
+        p = self.ambient.gram
+        groups = [
+            (idx, hermitian(v) if p is None else hermitian(v) @ p.take(idx))
+            for idx, v in self.frames.groups
+        ]
+        return Morphism(self.ambient, self.space, Fibers(groups, self.frames.n))
 
     def compress(self, m: Morphism, source_sub: "SubObject") -> Morphism:
-        """Restrict m to map source_sub.space -> self.space (self in target)."""
-        return compose(self.project(), compose(m, source_sub.include()))
+        """Restrict m to map source_sub.space -> self.space (self in target):
+        project after m after include, in one pass over the groups."""
+        if not (m.target.same_space(self.ambient) and m.source.same_space(source_sub.ambient)):
+            raise ShapeMismatchError("compress: m does not map between the ambients")
+        p = self.ambient.gram
+        groups = [
+            (idx, (hermitian(v) if p is None else hermitian(v) @ p.take(idx)) @ (b @ w))
+            for idx, (v, b, w) in align(self.frames, m.blocks, source_sub.frames)
+        ]
+        return Morphism(source_sub.space, self.space, Fibers(groups, self.frames.n))
 
 
 def full_subobject(obj: HObject) -> SubObject:
-    frames = []
-    for f, (d, p) in enumerate(zip(obj.dims, obj.products)):
-        if p is None:
-            frames.append(np.eye(d, dtype=complex))
-        else:
-            frames.append(np.linalg.inv(obj.std_factor(f)))
-    return SubObject(obj, tuple(frames))
+    factors = obj.factors()
+    if factors is not None:
+        return SubObject(obj, factors[1])
+    return SubObject(obj, Fibers(
+        [(idx, _eye_stack(len(idx), d)) for idx, d in obj.dim_groups()], len(obj.dims)
+    ))
 
 
 def subobject_from_std_frames(obj: HObject, std_frames) -> SubObject:
     """Build a SubObject from frames orthonormal in standardized coordinates."""
-    frames = []
-    for f, v in enumerate(std_frames):
-        if obj.products[f] is not None:
-            v = np.linalg.solve(obj.std_factor(f), v)
-        frames.append(v)
-    return SubObject(obj, tuple(frames))
+    if not isinstance(std_frames, Fibers):
+        std_frames = Fibers.from_list([np.asarray(v, complex) for v in std_frames])
+    factors = obj.factors()
+    if factors is not None:
+        std_frames = Fibers(
+            [(idx, np.linalg.solve(factors[0].take(idx), v)) for idx, v in std_frames.groups],
+            std_frames.n,
+        )
+    return SubObject(obj, std_frames)
 
 
 def orthocomplement(sub: SubObject) -> SubObject:
     obj = sub.ambient
-    std_frames = []
-    for f, v in enumerate(sub.frames):
-        # orthonormal in std coords
-        vt = v if obj.products[f] is None else obj.std_factor(f) @ v
-        d = obj.dims[f]
-        if vt.shape[1] == 0:
-            std_frames.append(np.eye(d, dtype=complex))
-            continue
-        if vt.shape[1] >= d:
-            std_frames.append(np.zeros((d, 0), dtype=complex))
-            continue
-        # columns of the full unitary not in span(vt)
-        q, _ = np.linalg.qr(np.hstack([vt, np.eye(d, dtype=complex)]))
-        comp = q[:, vt.shape[1] : d]
-        std_frames.append(comp)
-    return subobject_from_std_frames(obj, std_frames)
+    factors = obj.factors()
+    groups = []
+    for idx, v in sub.frames.groups:
+        k, d, width = v.shape
+        if factors is not None:  # orthonormal in std coords
+            v = factors[0].take(idx) @ v
+        if width == 0:
+            comp = _eye_stack(k, d)
+        elif width >= d:
+            comp = np.zeros((k, d, 0), dtype=complex)
+        else:
+            # columns of the full unitary not in span(v)
+            q, _ = np.linalg.qr(np.concatenate([v, _eye_stack(k, d)], axis=2))
+            comp = q[:, :, width:d]
+        groups.append((idx, comp))
+    return subobject_from_std_frames(obj, Fibers(groups, sub.frames.n))
 
 
-def uniform_stack(blocks) -> np.ndarray | None:
-    """The blocks as one stacked array when they share a nonempty shape."""
-    shapes = {b.shape for b in blocks}
-    if len(shapes) == 1 and min(next(iter(shapes))) > 0:
-        return np.stack(blocks)
-    return None
+@dataclass
+class FiberSVD:
+    """The SVD U diag(s) Vh of every standardized block of a morphism, with
+    the rank each fiber keeps.
+
+    ``groups`` holds ``(idx, U, s, Vh, r)`` for the fibers ``idx`` of one
+    block shape and one rank r: stacked full (square) unitaries, or None
+    when only values were computed, and the stacked descending values.
+    ``rank[f]`` counts the values of fiber f above the rank cut. Every
+    reading below is one slice per group. Iterating gives ``(rank, U, s,
+    Vh)`` per fiber, a view for callers outside the grouped paths.
+    """
+
+    groups: tuple
+    rank: np.ndarray
+
+    def pick(self, fn) -> Fibers:
+        """Fibers of ``fn(U, s, Vh, r)`` over the groups."""
+        return Fibers([(idx, fn(u, s, vh, r)) for idx, u, s, vh, r in self.groups],
+                      len(self.rank))
+
+    def kernel(self) -> Fibers:
+        """Trailing rows of Vh, as columns: the kernel."""
+        return self.pick(lambda u, s, vh, r: hermitian(vh[:, r:]))
+
+    def coimage(self) -> Fibers:
+        """Leading rows of Vh, as columns: the orthocomplement of the kernel."""
+        return self.pick(lambda u, s, vh, r: hermitian(vh[:, :r]))
+
+    def image(self) -> Fibers:
+        """Leading columns of U: the closure of the image."""
+        return self.pick(lambda u, s, vh, r: u[:, :, :r])
+
+    def cokernel(self) -> Fibers:
+        """Trailing columns of U: the orthocomplement of the image."""
+        return self.pick(lambda u, s, vh, r: u[:, :, r:])
+
+    def kept(self) -> FiberValues:
+        """The kept singular values, flat with their fibers."""
+        return FiberValues(
+            np.concatenate([np.zeros(0)] + [s[:, :r].ravel() for _, _, s, _, r in self.groups]),
+            np.concatenate([np.zeros(0, np.intp)]
+                           + [np.repeat(idx, r) for idx, _, _, _, r in self.groups]),
+        )
+
+    def __iter__(self):
+        per_fiber = {}
+        for idx, u, s, vh, _ in self.groups:
+            for k, f in enumerate(idx.tolist()):
+                per_fiber[f] = (
+                    None if u is None else u[k], s[k], None if vh is None else vh[k]
+                )
+        for f, r in enumerate(self.rank.tolist()):
+            u, s, vh = per_fiber[f]
+            yield r, u, s, vh
 
 
 def fiber_svds(
     f: Morphism, tol: float = DEFAULT_RANK_TOL, scale=0.0, vectors: bool = True
-) -> list:
-    """SVD of each standardized block with its rank: [(rank, U, s, Vh)].
+) -> FiberSVD:
+    """SVD of the standardized blocks with their ranks, one batched call
+    per shape group (see :class:`FiberSVD`).
 
     This is the one place where the library takes the SVD of a morphism
     and decides its rank. Singular values at or below tol * max(largest
@@ -621,44 +1024,41 @@ def fiber_svds(
     map which is negligible relative to its surroundings is treated as zero.
     Scales are applied per fiber so that a Family fiber with genuinely tiny
     but meaningful entries is never truncated against an unrelated fiber's
-    magnitude. Fibers of one common nonempty shape are decomposed in one
-    batched call. U and Vh are full (square) unitaries; with
-    ``vectors=False`` only the values are computed and U, Vh are None.
+    magnitude. U and Vh are full (square) unitaries; with ``vectors=False``
+    only the values are computed and U, Vh are None.
     """
-    scales = np.broadcast_to(np.asarray(scale, float), (len(f.blocks),))
-    blocks = f.standardized_blocks()
-    stacked = uniform_stack(blocks)
-    if stacked is not None:
-        svds = np.linalg.svd(stacked, compute_uv=vectors)
-        svds = zip(*svds) if vectors else svds
-    else:
-        svds = (
-            np.linalg.svd(b, compute_uv=vectors) if min(b.shape)
-            else (np.eye(b.shape[0]), np.zeros(0), np.eye(b.shape[1])) if vectors
-            else np.zeros(0)
-            for b in blocks
-        )
-    out = []
-    for svd, sc in zip(svds, scales):
+    scale = np.asarray(scale, float)
+    rank = np.zeros(f.backend.n_fibers, int)
+    groups = []
+    for idx, b in f.standardized_blocks().groups:
+        k, rows, cols = b.shape
+        if not min(rows, cols):
+            u, vh = (_eye_stack(k, rows), _eye_stack(k, cols)) if vectors else (None, None)
+            groups.append((idx, u, np.zeros((k, 0)), vh, 0))
+            continue
+        svd = np.linalg.svd(b, compute_uv=vectors)
         u, s, vh = svd if vectors else (None, svd, None)
-        cut = tol * max(s[0] if len(s) else 0.0, sc)
-        rank = int(np.count_nonzero(s > cut)) if cut > 0 else 0
-        out.append((rank, u, s, vh))
-    return out
+        cut = tol * np.maximum(s[:, 0], scale[idx] if scale.ndim else scale)
+        rank[idx] = ranks = np.where(cut > 0, np.count_nonzero(s > cut[:, None], axis=1), 0)
+        for sel, r in partition(ranks):
+            if len(sel) == len(idx):
+                groups.append((idx, u, s, vh, int(r)))
+            else:
+                groups.append((idx[sel], None if u is None else u[sel], s[sel],
+                               None if vh is None else vh[sel], int(r)))
+    return FiberSVD(tuple(groups), rank)
 
 
 def kernel_and_image_closure(
-    f: Morphism, tol: float = DEFAULT_RANK_TOL, scale=0.0
+    f: Morphism, tol: float = DEFAULT_RANK_TOL, scale=0.0, svd: FiberSVD | None = None
 ):
     """Orthonormal frames for ker f and cl(im f), fiberwise, with the rank
-    decision of :func:`fiber_svds`.
+    decision of :func:`fiber_svds` (``svd``, when the caller has already
+    decomposed f).
 
     Returns (kernel SubObject, image-closure SubObject).
     """
-    ker_std, im_std = [], []
-    for rank, u, _, vh in fiber_svds(f, tol, scale):
-        ker_std.append(vh[rank:].conj().T)
-        im_std.append(u[:, :rank])
-    kernel = subobject_from_std_frames(f.source, ker_std)
-    image = subobject_from_std_frames(f.target, im_std)
-    return kernel, image
+    if svd is None:
+        svd = fiber_svds(f, tol, scale)
+    return (subobject_from_std_frames(f.source, svd.kernel()),
+            subobject_from_std_frames(f.target, svd.image()))

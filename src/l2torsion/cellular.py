@@ -18,17 +18,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backends import (
+    Fibers,
     HObject,
     Morphism,
+    add,
     circle_samples,
+    compose,
     cyclic_group_table,
     family_backend,
     family_object,
     group_backend,
     group_object,
     group_ring_morphism,
+    identity_morphism,
+    largest_block_norm,
     matrix_backend,
     matrix_object,
+    scale_morphism,
 )
 from .errors import (
     InputValidationError,
@@ -265,36 +271,31 @@ class Representation:
         return self.image_fn(token)
 
     def sum_image(self, s: GroupRingSum):
-        """Fiber blocks of the image of a group-ring sum (None for zero)."""
-        blocks = None
+        """Fiber blocks (:class:`Fibers`) of the image of a group-ring sum
+        (None for zero)."""
+        total = None
         for tok, coeff in s:
-            m = self.image(tok)
-            if blocks is None:
-                blocks = [coeff * b for b in m.blocks]
-            else:
-                blocks = [acc + coeff * b for acc, b in zip(blocks, m.blocks)]
-        return blocks
+            term = scale_morphism(self.image(tok), coeff)
+            total = term if total is None else add(total, term)
+        return None if total is None else total.blocks
 
     def check_relations(self, tol: float = 1e-10) -> None:
         if self.pi.finite:
             n = self.pi.order
             for a in range(n):
                 for b in range(n):
-                    lhs = self.image(self.pi.mul(a, b))
                     ga, gb = self.image(a), self.image(b)
-                    dev = max(
-                        np.linalg.norm(l - x @ y)
-                        for l, x, y in zip(lhs.blocks, ga.blocks, gb.blocks)
-                    )
-                    if dev > tol * max(1.0, max(np.linalg.norm(b_) for b_ in ga.blocks)):
+                    dev = largest_block_norm(add(
+                        self.image(self.pi.mul(a, b)), scale_morphism(compose(ga, gb), -1.0)
+                    ))
+                    if dev > tol * max(1.0, largest_block_norm(ga)):
                         raise InputValidationError(
                             f"representation violates the group law at ({a},{b})"
                         )
         else:
             t, ti = self.image(1), self.image(-1)
-            dev = max(
-                np.linalg.norm(x @ y - np.eye(x.shape[0]))
-                for x, y in zip(t.blocks, ti.blocks)
+            dev = largest_block_norm(
+                add(compose(t, ti), scale_morphism(identity_morphism(t.source), -1.0))
             )
             if dev > tol:
                 raise InputValidationError("images of t and t^-1 are not inverse")
@@ -378,9 +379,7 @@ def circle_regular_representation(grid: int, scale: float = 1.0) -> Representati
     phases = np.exp(1j * samples[:, 0])
 
     def image_fn(tok: int) -> Morphism:
-        return Morphism(
-            obj, obj, tuple(np.array([[p ** tok]]) for p in phases)
-        )
+        return Morphism(obj, obj, Fibers.stack((phases ** tok).reshape(-1, 1, 1)))
 
     return Representation(infinite_cyclic_pi(), obj, image_fn, (1, -1),
                           {"regular_s1": {"grid": int(grid)}})
@@ -399,43 +398,32 @@ def cochain_complex(k: CellComplex, rep: Representation) -> ChainComplexC:
     """
     module = rep.module
     backend = module.backend
-    nf = backend.n_fibers
-    dims_per_cell = module.dims
     by_dim = [k.cells_of_dim(d) for d in range(k.dimension + 1)]
-
-    objects = []
-    for cells in by_dim:
-        dims = tuple(len(cells) * dims_per_cell[f] for f in range(nf))
-        objects.append(HObject(backend, dims))
+    objects = [HObject(backend, len(cells) * module.dim_array) for cells in by_dim]
 
     diffs = []
-    zero_blocks = {
-        f: np.zeros((dims_per_cell[f], dims_per_cell[f]), complex) for f in range(nf)
-    }
     for d in range(k.dimension):
         rows, cols = by_dim[d + 1], by_dim[d]
-        blocks = []
-        for f in range(nf):
-            m = dims_per_cell[f]
-            blk = np.zeros((len(rows) * m, len(cols) * m), complex)
-            blocks.append(blk)
+        stacks = [
+            np.zeros((len(idx), len(rows) * m, len(cols) * m), complex)
+            for idx, m in module.dim_groups()
+        ]
         for ri, big in enumerate(rows):
             entries = {fid: s for fid, s in _merged_boundary(k, big)}
             for ci, small in enumerate(cols):
                 s = entries.get(small)
-                if not s:
-                    continue
-                img = rep.sum_image(s)
+                img = rep.sum_image(s) if s else None
                 if img is None:
                     continue
-                for f in range(nf):
-                    m = dims_per_cell[f]
-                    blocks[f][ri * m : (ri + 1) * m, ci * m : (ci + 1) * m] = img[f]
-        diffs.append(Morphism(objects[d], objects[d + 1], tuple(blocks)))
+                for (idx, m), st in zip(module.dim_groups(), stacks):
+                    st[:, ri * m : (ri + 1) * m, ci * m : (ci + 1) * m] = img.take(idx)
+        blocks = Fibers(list(zip((idx for idx, _ in module.dim_groups()), stacks)),
+                        backend.n_fibers)
+        diffs.append(Morphism(objects[d], objects[d + 1], blocks))
     # relations hold symbolically in the group ring; a differential whose
     # image happens to be numerically tiny must not shrink the d^2 = 0 bound
-    scale = max((d.norm() for d in diffs), default=0.0) ** 2
-    return ChainComplexC(tuple(objects), tuple(diffs), check_scale=scale)
+    norm = max((d.norm() for d in diffs), default=0.0)
+    return ChainComplexC(tuple(objects), tuple(diffs), check_norm=norm)
 
 
 def _merged_boundary(k: CellComplex, cid: str):

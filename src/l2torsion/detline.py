@@ -24,10 +24,15 @@ import numpy as np
 
 from .backends import (
     DEFAULT_RANK_TOL,
+    FiberSVD,
+    Fibers,
     HObject,
     Morphism,
+    align,
     compose,
     fiber_svds,
+    hermitian,
+    largest_block_norm,
 )
 from .errors import (
     NotAnIsomorphismError,
@@ -195,69 +200,100 @@ def canonical_element(f: Morphism, labels=("source", "target")) -> DetLineElemen
     return DetLineElement(word, log_det)
 
 
-def orthogonal_section(beta: Morphism, tol: float = DEFAULT_RANK_TOL) -> Morphism:
+def orthogonal_section(
+    beta: Morphism, tol: float = DEFAULT_RANK_TOL, svd: FiberSVD | None = None
+) -> Morphism:
     """Right inverse of a surjection landing in the orthocomplement of ker.
 
     Fiberwise the pseudo-inverse Vh[:r]^H diag(1/s[:r]) U[:, :r]^H over the
-    singular triplets that :func:`fiber_svds` keeps, taken back from
-    standardized coordinates.
+    singular triplets that :func:`fiber_svds` keeps (``svd``, when the
+    caller has already decomposed beta), taken back from standardized
+    coordinates.
     """
-    blocks = []
-    for i, (r, u, s, vh) in enumerate(fiber_svds(beta, tol)):
-        g = (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
-        if beta.target.products[i] is not None:
-            g = g @ beta.target.std_factor(i)
-        if beta.source.products[i] is not None:
-            g = np.linalg.solve(beta.source.std_factor(i), g)
-        blocks.append(g)
-    return Morphism(beta.target, beta.source, tuple(blocks))
+    if svd is None:
+        svd = fiber_svds(beta, tol)
+    sections = svd.pick(
+        lambda u, s, vh, r: (hermitian(vh[:, :r]) / s[:, None, :r]) @ hermitian(u[:, :, :r])
+    )
+    into, out_of = beta.target.factors(), beta.source.factors()
+    groups = []
+    for idx, g in sections.groups:
+        if into is not None:
+            g = g @ into[0].take(idx)
+        if out_of is not None:
+            g = np.linalg.solve(out_of[0].take(idx), g)
+        groups.append((idx, g))
+    return Morphism(beta.target, beta.source, Fibers(groups, sections.n))
 
 
-def check_exactness(alpha: Morphism, beta: Morphism, tol: float = DEFAULT_RANK_TOL):
+def check_exactness(
+    alpha: Morphism,
+    beta: Morphism,
+    tol: float = DEFAULT_RANK_TOL,
+    alpha_svd: FiberSVD | None = None,
+    beta_svd: FiberSVD | None = None,
+):
     """Verify sub --alpha--> total --beta--> quot is short exact; raise if not.
 
-    Reads the ranks of alpha and beta off :func:`fiber_svds`.
+    Reads the ranks of alpha and beta off :func:`fiber_svds` (values only),
+    or off ``alpha_svd`` / ``beta_svd`` when the caller has decomposed the
+    maps already.
     """
     if not alpha.target.same_space(beta.source):
         raise ShapeMismatchError("middle objects of the sequence differ")
     comp = compose(beta, alpha)
     scale = max(alpha.norm() * beta.norm(), 1.0)
-    if max(np.linalg.norm(b) for b in comp.blocks) > 1e-8 * scale:
+    if largest_block_norm(comp) > 1e-8 * scale:
         raise NotExactError("composition beta alpha is not numerically zero")
     weights = alpha.backend.fiber_weights
-    rank_a = np.array([r for r, *_ in fiber_svds(alpha, tol, vectors=False)])
-    rank_b = np.array([r for r, *_ in fiber_svds(beta, tol, vectors=False)])
-    if np.dot(weights, alpha.source.dims - rank_a) > 1e-8:
+    if alpha_svd is None:
+        alpha_svd = fiber_svds(alpha, tol, vectors=False)
+    if beta_svd is None:
+        beta_svd = fiber_svds(beta, tol, vectors=False)
+    rank_a, rank_b = alpha_svd.rank, beta_svd.rank
+    if np.dot(weights, alpha.source.dim_array - rank_a) > 1e-8:
         raise NotExactError("the sub map is not injective")
     if abs(np.dot(weights, rank_b) - beta.target.dim_tau) > 1e-8:
         raise NotExactError("the quotient map is not surjective")
-    if np.any(rank_a != beta.source.dims - rank_b):
+    if np.any(rank_a != beta.source.dim_array - rank_b):
         raise NotExactError("image of the sub map does not fill ker of the quotient map")
+
+
+def _pulled_back(m: Morphism, product: HObject) -> Fibers:
+    """Per fiber, m^H P m with P the product of ``product`` on m's target."""
+    p = product.gram
+    return Fibers(
+        [(idx, hermitian(a) @ a if p is None else hermitian(a) @ p.take(idx) @ a)
+         for idx, a in m.blocks.groups],
+        m.blocks.n,
+    )
 
 
 def induced_sub_object(alpha: Morphism) -> HObject:
     """The sub object equipped with the product pulled back along alpha."""
-    products = []
-    for i, a in enumerate(alpha.blocks):
-        pm = alpha.target.product_matrix(i)
-        products.append(a.conj().T @ pm @ a)
-    return alpha.source.with_products(tuple(products))
+    return alpha.source.with_products(_pulled_back(alpha, alpha.target))
 
 
 def induced_quotient_object(
-    beta: Morphism, tol: float = DEFAULT_RANK_TOL
+    beta: Morphism, tol: float = DEFAULT_RANK_TOL, svd: FiberSVD | None = None
 ) -> tuple:
     """Quotient object with the product induced by the orthogonal splitting.
 
     Returns ``(object, section)`` where the section is the right inverse of
-    beta landing in the orthocomplement of its kernel.
+    beta landing in the orthocomplement of its kernel (read off ``svd``
+    when given).
     """
-    section = orthogonal_section(beta, tol)
-    products = []
-    for i, g in enumerate(section.blocks):
-        pm = beta.source.product_matrix(i)
-        products.append(g.conj().T @ pm @ g)
-    return beta.target.with_products(tuple(products)), section
+    section = orthogonal_section(beta, tol, svd)
+    return beta.target.with_products(_pulled_back(section, beta.source)), section
+
+
+def _products_differ(a: HObject, b: HObject) -> bool:
+    """Whether the products of two objects over the same space differ in
+    some fiber by more than 1e-10 relative to b's."""
+    return any(
+        np.any(np.linalg.norm(x - y, axis=(1, 2)) > 1e-10 * np.linalg.norm(y, axis=(1, 2)))
+        for _, (x, y) in align(a.product_fibers(), b.product_fibers())
+    )
 
 
 def exact_sequence_iso(
@@ -279,9 +315,10 @@ def exact_sequence_iso(
     Re-express the induced frames with :func:`rebase_products` to compare
     against natively framed elements.
     """
-    check_exactness(alpha, beta, tol)
+    beta_svd = fiber_svds(beta, tol)
+    check_exactness(alpha, beta, tol, beta_svd=beta_svd)
     sub_obj = induced_sub_object(alpha)
-    quot_obj, _ = induced_quotient_object(beta, tol)
+    quot_obj, _ = induced_quotient_object(beta, tol, beta_svd)
     word = []
     log_coeff = element.log_coeff
     found = False
@@ -289,14 +326,7 @@ def exact_sequence_iso(
         if frame.label == total_label:
             if not frame.obj.same_space(alpha.target):
                 raise ShapeMismatchError("total frame lives on the wrong space")
-            if any(
-                frame.obj.product_matrix(i).shape != alpha.target.product_matrix(i).shape
-                or np.linalg.norm(
-                    frame.obj.product_matrix(i) - alpha.target.product_matrix(i)
-                )
-                > 1e-10 * np.linalg.norm(alpha.target.product_matrix(i))
-                for i in range(len(frame.obj.dims))
-            ):
+            if _products_differ(frame.obj, alpha.target):
                 # frame product differs from the one the maps were given;
                 # rebase onto the maps' product first so isometry holds
                 log_coeff += -(e / 2.0) * (

@@ -30,12 +30,16 @@ from .backends import (
     SubObject,
     adjoint,
     add,
+    align,
+    block_matrix,
     compose,
     direct_sum_morphisms,
     direct_sum_objects,
     fiber_svds,
+    frobenius,
     full_subobject,
     kernel_and_image_closure,
+    largest_block_norm,
     orthocomplement,
     scale_morphism,
     subobject_from_std_frames,
@@ -49,6 +53,7 @@ from .detline import (
 )
 from .errors import (
     InconclusiveVerdictError,
+    InputValidationError,
     NoCanonicalElementError,
     NotAChainComplexError,
     NotAnIsomorphismError,
@@ -63,7 +68,7 @@ from .spectral import (
 
 
 def zero_object(backend: CategoryBackend) -> HObject:
-    return HObject(backend, tuple(0 for _ in range(backend.n_fibers)))
+    return HObject(backend, np.zeros(backend.n_fibers, int))
 
 
 @dataclass(eq=False)
@@ -119,15 +124,15 @@ def extended_object(alpha: Morphism, tol: float = DEFAULT_RANK_TOL) -> ExtendedO
     coordinates of the orthocomplement of the kernel, so an injective alpha
     keeps identity source coordinates.
     """
-    svds = fiber_svds(alpha, tol)
-    ker = subobject_from_std_frames(
-        alpha.source, [vh[r:].conj().T for r, _, _, vh in svds]
-    )
-    coker = subobject_from_std_frames(alpha.target, [u[:, r:] for r, u, _, _ in svds])
+    return _extended(alpha, fiber_svds(alpha, tol))
+
+
+def _extended(alpha: Morphism, svd) -> ExtendedObject:
+    """:func:`extended_object` of alpha from its :func:`fiber_svds`."""
+    ker = subobject_from_std_frames(alpha.source, svd.kernel())
+    coker = subobject_from_std_frames(alpha.target, svd.cokernel())
     alpha_inj = compose(alpha, orthocomplement(ker).include())
-    density = SpectralDensity.from_fibers(
-        [s[:r] for r, _, s, _ in svds], alpha.backend.fiber_weights
-    )
+    density = SpectralDensity.from_fibers(svd.kept(), alpha.backend.fiber_weights)
     return ExtendedObject(alpha_inj, coker, density, classify_determinant(density))
 
 
@@ -181,12 +186,14 @@ class ChainComplexC:
 
     objects: tuple
     diffs: tuple
-    check_scale: float = 0.0  # extra absolute scale for the d^2 = 0 check,
-    # used when the differentials were compressed out of a larger complex
-    # and their own norms understate the rounding noise inherited from it
+    check_norm: float = 0.0  # extra reference norm N for the d^2 = 0 check
+    # (the bound is at least N^2), used when the differentials were
+    # compressed out of a larger complex and their own norms understate the
+    # rounding noise inherited from it
 
     def fiber_scales(self) -> np.ndarray:
-        """Per-fiber magnitude: largest standardized differential block norm.
+        """Per-fiber magnitude: largest Frobenius norm of a standardized
+        differential block, computed without overflow.
 
         Used as the reference scale for rank decisions so that a
         differential which is negligible within its own fiber is treated as
@@ -194,15 +201,17 @@ class ChainComplexC:
         """
         out = np.zeros(self.backend.n_fibers)
         for d in self.diffs:
-            for f, b in enumerate(d.standardized_blocks()):
+            for idx, b in d.standardized_blocks().groups:
                 if b.size:
-                    out[f] = max(out[f], float(np.linalg.norm(b)))
+                    out[idx] = np.maximum(out[idx], frobenius(b))
         return out
 
     def __post_init__(self) -> None:
         self.objects = tuple(self.objects)
         self.diffs = tuple(self.diffs)
-        if len(self.diffs) != max(len(self.objects) - 1, 0):
+        if not self.objects:
+            raise InputValidationError("a complex needs at least one object")
+        if len(self.diffs) != len(self.objects) - 1:
             raise ShapeMismatchError("need exactly one differential per gap")
         for i, d in enumerate(self.diffs):
             if not (
@@ -211,10 +220,17 @@ class ChainComplexC:
             ):
                 raise ShapeMismatchError(f"differential {i} does not fit the grading")
         for i in range(len(self.diffs) - 1):
+            # compared after dividing both maps by their norms, so that
+            # neither the composition nor the bound overflows
             a, b = self.diffs[i + 1], self.diffs[i]
-            bound = max(a.norm() * b.norm(), self.check_scale, 1e-300)
-            comp = compose(a, b)
-            if max(np.linalg.norm(blk) for blk in comp.blocks) > 1e-10 * bound:
+            na, nb = a.norm(), b.norm()
+            if na == 0.0 or nb == 0.0:
+                continue
+            bound = max(1.0, (self.check_norm / na) * (self.check_norm / nb))
+            if any(
+                np.linalg.norm((x / na) @ (y / nb), axis=(1, 2)).max() > 1e-10 * bound
+                for _, (x, y) in align(a.blocks, b.blocks)
+            ):
                 raise NotAChainComplexError(
                     f"differentials {i} and {i + 1} do not compose to zero"
                 )
@@ -358,23 +374,15 @@ def check_extended_morphism(
     lhs = compose(f, x.alpha)
     rhs = compose(y.alpha, fprime)
     bound = max(f.norm() * x.alpha.norm(), y.alpha.norm() * fprime.norm(), 1e-300)
-    diff = add(lhs, scale_morphism(rhs, -1.0))
-    if max(np.linalg.norm(b) for b in diff.blocks) > 1e-8 * bound:
+    if largest_block_norm(add(lhs, scale_morphism(rhs, -1.0))) > 1e-8 * bound:
         raise ShapeMismatchError("the pair (f, f') does not intertwine alpha, beta")
 
 
 def _graph_map(x: ExtendedObject, y: ExtendedObject, f: Morphism, fprime: Morphism):
     """The two maps of the mapping sequence A' -> B' (+) A -> B."""
-    src = x.source
     mid = direct_sum_objects(y.source, x.target)
-    blocks_g = []
-    for i in range(len(src.dims)):
-        blocks_g.append(np.vstack([fprime.blocks[i], x.alpha.blocks[i]]))
-    g = Morphism(src, mid, tuple(blocks_g))
-    blocks_h = []
-    for i in range(len(mid.dims)):
-        blocks_h.append(np.hstack([y.alpha.blocks[i], -f.blocks[i]]))
-    h = Morphism(mid, y.target, tuple(blocks_h))
+    g = Morphism(x.source, mid, block_matrix([[fprime], [x.alpha]]))
+    h = Morphism(mid, y.target, block_matrix([[y.alpha, scale_morphism(f, -1.0)]]))
     return g, h
 
 
@@ -461,8 +469,9 @@ def kernel_cokernel_lines(
     """
     check_extended_morphism(x, y, f, fprime)
     g, h = _graph_map(x, y, f, fprime)
-    coker = extended_object(h, tol)
-    p_sub, _ = kernel_and_image_closure(h, tol)
+    svd = fiber_svds(h, tol)
+    coker = _extended(h, svd)
+    p_sub, _ = kernel_and_image_closure(h, tol, svd=svd)
     iota = p_sub.compress(g, full_subobject(g.source))
     kernel = extended_object(iota, tol)
     return KernelCokernelLines(kernel, coker)

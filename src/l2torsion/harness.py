@@ -14,6 +14,7 @@ import numpy as np
 
 from .backends import (
     CategoryBackend,
+    Fibers,
     HObject,
     Morphism,
     compose,
@@ -307,12 +308,12 @@ def family_multiplication_map(values, samples=None) -> Morphism:
 
     Defaults to the uniform midpoint grid on (0, 1] as the sample set.
     """
-    values = np.asarray(values)
+    values = np.asarray(values, dtype=complex)
     if samples is None:
         samples = uniform_interval_samples(len(values))
     backend = family_backend(samples)
     obj = family_object(backend, 1)
-    return Morphism(obj, obj, tuple(np.array([[v]]) for v in values))
+    return Morphism(obj, obj, Fibers.stack(values.reshape(-1, 1, 1)))
 
 
 def suite_family_density(grid: int = 10_000) -> dict:

@@ -19,9 +19,9 @@ import numpy as np
 
 from .backends import (
     DEFAULT_RANK_TOL,
+    FiberValues,
     Morphism,
     fiber_svds,
-    uniform_stack,
 )
 from .errors import NotSelfAdjointError, ShapeMismatchError
 
@@ -82,20 +82,19 @@ class SpectralDensity:
         return self.log_moment_above(0.0)
 
     @classmethod
-    def from_fibers(cls, values: list, weights: np.ndarray, dims=None) -> "SpectralDensity":
-        """Density of the per-fiber positive values ``values[f]``, each of
-        mass ``weights[f]``. With ``dims`` (the source dimension of each
+    def from_fibers(cls, kept: FiberValues, weights: np.ndarray, dims=None) -> "SpectralDensity":
+        """Density of the positive values ``kept``, each of the mass of its
+        fiber in ``weights``. With ``dims`` (the source dimension of each
         fiber) the dimensions the values leave over are kernel mass;
         without, there is no kernel mass."""
-        counts = [len(v) for v in values]
-        masses = np.repeat(weights, counts)
+        masses = weights[kept.fiber]
         if dims is None:
             zero_mass, total = 0.0, float(masses.sum())
         else:
+            counts = kept.counts(len(weights))
             zero_mass = float(np.dot(weights, np.subtract(dims, counts)))
             total = float(np.dot(weights, dims))
-        values = np.concatenate(values) if len(values) else np.zeros(0)
-        return cls(values, masses, zero_mass, total)
+        return cls(kept.values, masses, zero_mass, total)
 
 
 def singular_density(f: Morphism, tol: float = DEFAULT_RANK_TOL) -> SpectralDensity:
@@ -105,35 +104,35 @@ def singular_density(f: Morphism, tol: float = DEFAULT_RANK_TOL) -> SpectralDens
     per fiber, values at or below ``tol`` times the largest one count as
     kernel mass.
     """
-    kept = [s[:r] for r, _, s, _ in fiber_svds(f, tol, vectors=False)]
-    return SpectralDensity.from_fibers(kept, f.backend.fiber_weights, f.source.dims)
+    kept = fiber_svds(f, tol, vectors=False).kept()
+    return SpectralDensity.from_fibers(kept, f.backend.fiber_weights, f.source.dim_array)
 
 
 def spectral_density(
     m: Morphism, tol: float = DEFAULT_RANK_TOL, check: bool = True
 ) -> SpectralDensity:
-    """Spectral density of a positive self-adjoint endomorphism."""
+    """Spectral density of a positive self-adjoint endomorphism.
+
+    One batched eigenvalue call per shape group; per fiber, eigenvalues at
+    or below ``tol`` times the largest magnitude count as kernel mass.
+    """
     if not m.is_endo:
         raise ShapeMismatchError("spectral density requires an endomorphism")
-    blocks = m.standardized_blocks()
-    if check:
-        for b in blocks:
-            if b.size and np.linalg.norm(b - b.conj().T) > 1e-8 * max(
-                np.linalg.norm(b), 1.0
-            ):
-                raise NotSelfAdjointError("operator is not self-adjoint")
-    stacked = uniform_stack(blocks)
-    if stacked is not None:
-        eigs = list(np.linalg.eigvalsh(stacked))
-    else:
-        eigs = [
-            np.linalg.eigvalsh(b) if b.size else np.zeros(0) for b in blocks
-        ]
-    kept = []
-    for ev in eigs:
-        emax = float(np.max(np.abs(ev))) if len(ev) else 0.0
-        kept.append(ev[ev > tol * emax])
-    return SpectralDensity.from_fibers(kept, m.backend.fiber_weights, m.source.dims)
+    values, fibers = [np.zeros(0)], [np.zeros(0, np.intp)]
+    for idx, b in m.standardized_blocks().groups:
+        if not b.shape[1]:
+            continue
+        if check and np.any(
+            np.linalg.norm(b - np.swapaxes(b, 1, 2).conj(), axis=(1, 2))
+            > 1e-8 * np.maximum(np.linalg.norm(b, axis=(1, 2)), 1.0)
+        ):
+            raise NotSelfAdjointError("operator is not self-adjoint")
+        ev = np.linalg.eigvalsh(b)
+        keep = ev > tol * np.abs(ev).max(axis=1)[:, None]
+        values.append(ev[keep])
+        fibers.append(np.broadcast_to(idx[:, None], ev.shape)[keep])
+    kept = FiberValues(np.concatenate(values), np.concatenate(fibers))
+    return SpectralDensity.from_fibers(kept, m.backend.fiber_weights, m.source.dim_array)
 
 
 # ---------------------------------------------------------------------------

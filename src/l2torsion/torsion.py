@@ -24,14 +24,23 @@ import numpy as np
 
 from .backends import (
     DEFAULT_RANK_TOL,
+    Fibers,
     HObject,
     Morphism,
     SubObject,
+    add,
+    align,
+    block_matrix,
     compose,
     direct_sum_objects,
     fiber_svds,
     full_subobject,
+    hermitian,
+    identity_morphism,
+    largest_block_norm,
     orthocomplement,
+    partition,
+    scale_morphism,
     subobject_from_std_frames,
     zero_morphism,
 )
@@ -70,17 +79,22 @@ def complex_det_element(
 
 def _sub_within(outer: SubObject, inner: SubObject) -> SubObject:
     """Orthocomplement of ``inner`` inside ``outer`` (inner must sit in outer)."""
-    coords = []
-    for f, (v, w) in enumerate(zip(outer.frames, inner.frames)):
-        p = outer.ambient.products[f]
-        coords.append(v.conj().T @ (w if p is None else p @ w))
-    comp = orthocomplement(SubObject(outer.space, tuple(coords)))
-    frames = tuple(v @ u for v, u in zip(outer.frames, comp.frames))
-    return SubObject(outer.ambient, frames)
+    p = outer.ambient.gram
+    coords = [
+        (idx, hermitian(v) @ (w if p is None else p.take(idx) @ w))
+        for idx, (v, w) in align(outer.frames, inner.frames)
+    ]
+    n = outer.frames.n
+    comp = orthocomplement(SubObject(outer.space, Fibers(coords, n)))
+    frames = [(idx, v @ u) for idx, (v, u) in align(outer.frames, comp.frames)]
+    return SubObject(outer.ambient, Fibers(frames, n))
 
 
 def _zero_sub(obj: HObject) -> SubObject:
-    return SubObject(obj, tuple(np.zeros((d, 0), complex) for d in obj.dims))
+    return SubObject(obj, Fibers(
+        [(idx, np.zeros((len(idx), d, 0), complex)) for idx, d in obj.dim_groups()],
+        len(obj.dims),
+    ))
 
 
 @dataclass
@@ -92,10 +106,16 @@ class HodgeSplit:
     singular values kept by the rank cut, W^i is spanned by the leading r
     rows of Vh, ker d_i by the trailing rows, and cl(im d_i) by the leading
     r columns of U. In these frames the restricted differential
-    W^i -> cl(im d_i) is diag(s[:r]): column j of ``coexact[i]`` goes to
-    ``singular[i][f][j]`` times column j of ``boundaries[i + 1]``. The
-    nonzero Laplacian eigenvalues of the complex are the squares of
-    ``singular``.
+    W^i -> cl(im d_i) is diag(s[:r]): column j of ``coexact[i]`` on fiber f
+    goes to the j-th kept value of d_i on fiber f times column j of
+    ``boundaries[i + 1]``. The nonzero Laplacian eigenvalues of the complex
+    are the squares of the kept values.
+
+    The frames are :class:`Fibers` shape groups, so fibers of different
+    rank sit in different groups. ``singular[i]`` keeps the kept values of
+    d_i flat, as :class:`FiberValues` (values plus the fiber of each, in
+    column order within a fiber), so that every reading below is an array
+    expression over all fibers at once.
 
     Every complex-level report reads the split through :meth:`detclass`
     and :meth:`betti`, so the torsion report, the extended cohomology and
@@ -105,7 +125,7 @@ class HodgeSplit:
     harmonic: list
     boundaries: list  # boundaries[i] = cl(im d_{i-1}) in C^i
     coexact: list  # coexact[i] = W^i = (ker d_i)^perp
-    singular: list  # singular[i][f] = kept singular values of d_i, descending
+    singular: list  # singular[i] = kept singular values of d_i, flat
     verdicts: list  # certificate for each restricted differential
     weights: np.ndarray  # trace weight of each fiber
     tol: float  # the relative rank cut the split was made with
@@ -122,10 +142,10 @@ class HodgeSplit:
         return [classify_determinant(empty)] + self.verdicts
 
     def betti(self, values: list) -> list:
-        """Trace-Betti numbers when ``values[i][f]`` are the singular values
-        of d_i on fiber f that count as spectrum: the harmonic dimensions
-        plus the mass of the Laplacian eigenvalues s^2 at or below tol
-        times the largest eigenvalue of their degree and fiber."""
+        """Trace-Betti numbers when ``values[i]`` are the singular values of
+        d_i that count as spectrum: the harmonic dimensions plus the mass of
+        the Laplacian eigenvalues s^2 at or below tol times the largest
+        eigenvalue of their degree and fiber."""
         return [
             h.dim_tau + float(self.weights[fib[~clear]].sum())
             for h, (_, fib, clear) in zip(self.harmonic, _laplacian_spectra(self, values))
@@ -137,18 +157,12 @@ def hodge_split(c: ChainComplexC, tol: float = DEFAULT_RANK_TOL) -> HodgeSplit:
     scale = c.fiber_scales()
     split.boundaries.append(_zero_sub(c.objects[0]))
     for i, d in enumerate(c.diffs):
-        svds = fiber_svds(d, tol, scale)
-        kernel = subobject_from_std_frames(
-            d.source, [vh[r:].conj().T for r, _, _, vh in svds]
-        )
+        svd = fiber_svds(d, tol, scale)
+        kernel = subobject_from_std_frames(d.source, svd.kernel())
         split.harmonic.append(_sub_within(kernel, split.boundaries[i]))
-        split.coexact.append(subobject_from_std_frames(
-            d.source, [vh[:r].conj().T for r, _, _, vh in svds]
-        ))
-        split.boundaries.append(
-            subobject_from_std_frames(d.target, [u[:, :r] for r, u, _, _ in svds])
-        )
-        split.singular.append([s[:r] for r, _, s, _ in svds])
+        split.coexact.append(subobject_from_std_frames(d.source, svd.coimage()))
+        split.boundaries.append(subobject_from_std_frames(d.target, svd.image()))
+        split.singular.append(svd.kept())
         split.verdicts.append(classify_determinant(split.density(i)))
     last = c.objects[-1]
     split.harmonic.append(_sub_within(full_subobject(last), split.boundaries[-1]))
@@ -165,8 +179,8 @@ def _harmonic_word(split: HodgeSplit, prefix: str) -> list:
 
 
 def _fold(split: HodgeSplit, values: list, prefix: str) -> tuple:
-    """nu on a part of the split: ``values[i][f]`` are the singular values of
-    d_i on fiber f that the part holds.
+    """nu on a part of the split: ``values[i]`` are the singular values of
+    d_i that the part holds.
 
     The restricted differential identifies the part's share of W^i with
     that of cl(im d_i), and the pair cancels out of the determinant word
@@ -180,11 +194,12 @@ def _fold(split: HodgeSplit, values: list, prefix: str) -> tuple:
     so every value would pass it.
     """
     log_coeff, word = 0.0, []
-    for i, fibers in enumerate(values):
-        space = HObject(split.coexact[i].ambient.backend, tuple(len(s) for s in fibers))
+    for i, kept in enumerate(values):
+        backend = split.coexact[i].ambient.backend
+        space = HObject(backend, kept.counts(len(split.weights)))
         if space.dim_tau <= 0:
             continue
-        density = SpectralDensity.from_fibers(fibers, split.weights)
+        density = SpectralDensity.from_fibers(kept, split.weights)
         verdict = classify_determinant(density)
         if verdict.convergent:
             log_coeff += (-1) ** (i + 1) * verdict.log_integral
@@ -282,23 +297,31 @@ def torsion_acyclic(
 # epsilon splitting
 
 
+_SQRT_MAX = math.sqrt(np.finfo(float).max)
+
+
 def _laplacian_spectra(split: HodgeSplit, values: list) -> list:
     """Per degree i, the nonzero eigenvalues of Delta_i that the singular
-    values ``values[i][f]`` give (the squares of those of d_{i-1} and d_i),
-    with their fiber indices and whether each clears the cut
-    split.tol * (largest eigenvalue of Delta_i on its fiber)."""
-    flat = [
-        (np.concatenate(v) ** 2, np.repeat(np.arange(len(v)), [len(s) for s in v]))
-        for v in values
-    ]
+    values ``values[i]`` give (the squares of those of d_{i-1} and d_i),
+    with their fiber indices and whether each clears the cut split.tol *
+    (largest eigenvalue of Delta_i on its fiber). On a fiber whose largest
+    eigenvalue overflows, the cut compares (s / largest s)^2 instead."""
     out = []
     for i in range(len(split.harmonic)):
-        adjacent = flat[max(i - 1, 0): i + 1]
-        lam = np.concatenate([np.zeros(0)] + [v for v, _ in adjacent])
-        fib = np.concatenate([np.zeros(0, int)] + [f for _, f in adjacent])
+        adjacent = values[max(i - 1, 0): i + 1]
+        s = np.concatenate([np.zeros(0)] + [v.values for v in adjacent])
+        fib = np.concatenate([np.zeros(0, np.intp)] + [v.fiber for v in adjacent])
+        with np.errstate(over="ignore"):
+            lam = s * s
         top = np.zeros(len(split.weights))
         np.maximum.at(top, fib, lam)
-        out.append((lam, fib, lam > split.tol * top[fib]))
+        clear = lam > split.tol * top[fib]
+        if s.size and s.max() > _SQRT_MAX:
+            huge = np.isinf(top[fib])
+            top_s = np.zeros(len(split.weights))
+            np.maximum.at(top_s, fib, s)
+            clear[huge] = (s[huge] / top_s[fib[huge]]) ** 2 > split.tol
+        out.append((lam, fib, clear))
     return out
 
 
@@ -328,30 +351,57 @@ def default_epsilon(c: ChainComplexC, tol: float = DEFAULT_RANK_TOL) -> float | 
     return _epsilon(hodge_split(c, tol))
 
 
+def _columns(frames: Fibers, lo: np.ndarray, hi: np.ndarray) -> Fibers:
+    """Per fiber f, the columns lo[f]:hi[f] of frames[f]."""
+    if frames.n == 1:
+        idx, v = frames.groups[0]
+        return Fibers([(idx, v[:, :, int(lo[0]):int(hi[0])])], 1)
+    groups = []
+    for idx, v in frames.groups:
+        for sel, key in partition(lo[idx] * (v.shape[2] + 1) + hi[idx]):
+            a, b = divmod(int(key), v.shape[2] + 1)
+            sub = idx if len(sel) == len(idx) else idx[sel]
+            groups.append((sub, (v if len(sel) == len(idx) else v[sel])[:, :, a:b]))
+    return Fibers(groups, frames.n)
+
+
+def _hstack(*parts: Fibers) -> Fibers:
+    return Fibers(
+        [(idx, np.concatenate(st, axis=2)) for idx, st in align(*parts)], parts[0].n
+    )
+
+
 def _split_parts(c: ChainComplexC, split: HodgeSplit, low: list):
-    """The two subcomplexes of the Hodge split for the masks ``low[i][f]``
+    """The two subcomplexes of the Hodge split for the masks ``low[i]``
     over the singular values of d_i (True for the part at or below epsilon).
 
     The harmonic part goes to the small side; a co-exact column of C^i and
     its image column in C^{i+1} go to the side their singular value picks.
+    Each mask must be a cut on the values (as s^2 <= epsilon is), so that
+    in each fiber it selects trailing columns: the large side is then a
+    leading block of columns of every frame.
     """
-    none = [np.zeros(0, bool)] * c.backend.n_fibers
-    pad = [none] + low + [none]  # pad[i] selects boundaries[i], pad[i + 1] coexact[i]
+    n = c.backend.n_fibers
+    none = np.zeros(n, int)
+    # large[i] counts, per fiber, the leading columns of boundaries[i]
+    # (values of d_{i-1}) and large[i + 1] those of coexact[i] (values of d_i)
+    large = [none] + [v.select(~m).counts(n) for v, m in zip(split.singular, low)] + [none]
 
     def part(i, small):
-        frames = []
-        for f, h in enumerate(split.harmonic[i].frames):
-            b, w = (pad[i][f], pad[i + 1][f]) if small else (~pad[i][f], ~pad[i + 1][f])
-            frames.append(np.hstack(([h] if small else []) + [
-                split.boundaries[i].frames[f][:, b], split.coexact[i].frames[f][:, w]
-            ]))
-        return SubObject(c.objects[i], tuple(frames))
+        b, w = split.boundaries[i].frames, split.coexact[i].frames
+        if small:
+            frames = _hstack(split.harmonic[i].frames,
+                             _columns(b, large[i], b.sizes(1)),
+                             _columns(w, large[i + 1], w.sizes(1)))
+        else:
+            frames = _hstack(_columns(b, none, large[i]), _columns(w, none, large[i + 1]))
+        return SubObject(c.objects[i], frames)
 
-    scale = max((d.norm() for d in c.diffs), default=0.0) ** 2
+    norm = max((d.norm() for d in c.diffs), default=0.0)
 
     def build(subs):
         diffs = tuple(subs[i + 1].compress(d, subs[i]) for i, d in enumerate(c.diffs))
-        return ChainComplexC(tuple(s.space for s in subs), diffs, check_scale=scale)
+        return ChainComplexC(tuple(s.space for s in subs), diffs, check_norm=norm)
 
     small_subs = [part(i, True) for i in range(c.length)]
     large_subs = [part(i, False) for i in range(c.length)]
@@ -369,7 +419,9 @@ def split_complex(c: ChainComplexC, eps: float, tol: float = DEFAULT_RANK_TOL):
     eigenvalue pair.
     """
     split = hodge_split(c, tol)
-    return _split_parts(c, split, [[s * s <= eps for s in v] for v in split.singular])
+    with np.errstate(over="ignore"):
+        low = [v.values * v.values <= eps for v in split.singular]
+    return _split_parts(c, split, low)
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +484,15 @@ def torsion(
     verdicts = split.detclass()
 
     cut = math.inf if epsilon is None else epsilon
-    low = [[s * s <= cut for s in v] for v in split.singular]
-    small = [[s[k] for s, k in zip(v, m)] for v, m in zip(split.singular, low)]
+    with np.errstate(over="ignore"):
+        low = [v.values * v.values <= cut for v in split.singular]
+    small = [v.select(m) for v, m in zip(split.singular, low)]
     log_rho_large, checks = 0.0, {}
     if epsilon is not None:
         # building both parts runs their d^2 = 0 checks
         _, large_c, _, _ = _split_parts(c, split, low)
         if any(o.dim_tau > 0 for o in large_c.objects):
-            large = [[s[~k] for s, k in zip(v, m)] for v, m in zip(split.singular, low)]
+            large = [v.select(~m) for v, m in zip(split.singular, low)]
             log_rho_large, unfolded = _fold(split, large, out_prefix)
             via_laplacian = torsion_acyclic(large_c, tol, cross_check=False)
             if unfolded:
@@ -486,10 +539,7 @@ def _is_chain_map(f_list, src: ChainComplexC, dst: ChainComplexC) -> None:
             f_list[i + 1].norm() * src.diffs[i].norm(),
             1e-300,
         )
-        dev = max(
-            np.linalg.norm(a - b) for a, b in zip(lhs.blocks, rhs.blocks)
-        )
-        if dev > 1e-8 * bound:
+        if largest_block_norm(add(lhs, scale_morphism(rhs, -1.0))) > 1e-8 * bound:
             raise NotAChainMapError(f"square at degree {i} does not commute")
 
 
@@ -539,15 +589,18 @@ def les_connecting_iso(
         raise InputValidationError("the three complexes must share their length")
     _is_chain_map(alpha, L, M)
     _is_chain_map(beta, M, N)
-    for i in range(n):
-        check_exactness(alpha[i], beta[i], tol)
+    # each map is decomposed once: the exactness check reads the ranks off
+    # the same SVDs that give the sections
+    svds = [(fiber_svds(a, tol), fiber_svds(b, tol)) for a, b in zip(alpha, beta)]
+    for a, b, (sa, sb) in zip(alpha, beta, svds):
+        check_exactness(a, b, tol, sa, sb)
 
     hl = hodge_split(L, tol).harmonic
     hm = hodge_split(M, tol).harmonic
     hn = hodge_split(N, tol).harmonic
 
-    alpha_pinv = [orthogonal_section(a, tol) for a in alpha]
-    quotients = [induced_quotient_object(b, tol) for b in beta]
+    alpha_pinv = [orthogonal_section(a, tol, sa) for a, (sa, _) in zip(alpha, svds)]
+    quotients = [induced_quotient_object(b, tol, sb) for b, (_, sb) in zip(beta, svds)]
     beta_sec = [section for _, section in quotients]
 
     objects, diffs = [], []
@@ -602,40 +655,25 @@ def mapping_cone(c: ChainComplexC, ctilde: ChainComplexC, f_list) -> tuple:
     )
     diffs = []
     for i in range(n - 1):
-        src, tgt = objects[i], objects[i + 1]
-        blocks = []
-        for fb in range(len(src.dims)):
-            dq = obj(quot, i).dims[fb]
-            ds = obj(sub, i).dims[fb]
-            dq1 = obj(quot, i + 1).dims[fb]
-            ds1 = obj(sub, i + 1).dims[fb]
-            blk = np.zeros((dq1 + ds1, dq + ds), complex)
-            if i < quot.length - 1:
-                blk[:dq1, :dq] = quot.diffs[i].blocks[fb]
-            if i < len(f_list):
-                # f_i : C^i -> C~^i, which is the sub part of Cone^{i+1}
-                blk[dq1:, :dq] = f_list[i].blocks[fb]
-            if i < sub.length - 1:
-                blk[dq1:, dq:] = sub.diffs[i].blocks[fb]
-            blocks.append(blk)
-        diffs.append(Morphism(src, tgt, tuple(blocks)))
+        q0, s0, q1, s1 = obj(quot, i), obj(sub, i), obj(quot, i + 1), obj(sub, i + 1)
+        d_quot = quot.diffs[i] if i < quot.length - 1 else zero_morphism(q0, q1)
+        # f_i : C^i -> C~^i, which is the sub part of Cone^{i+1}
+        f_i = f_list[i] if i < len(f_list) else zero_morphism(q0, s1)
+        d_sub = sub.diffs[i] if i < sub.length - 1 else zero_morphism(s0, s1)
+        diffs.append(Morphism(objects[i], objects[i + 1], block_matrix(
+            [[d_quot, zero_morphism(s0, q1)], [f_i, d_sub]]
+        )))
     cone = ChainComplexC(objects, tuple(diffs))
 
     inclusions, projections = [], []
     for i in range(n):
-        dq = obj(quot, i)
-        ds = obj(sub, i)
-        inc_blocks, proj_blocks = [], []
-        for fb in range(len(objects[i].dims)):
-            dqf, dsf = dq.dims[fb], ds.dims[fb]
-            inc = np.zeros((dqf + dsf, dsf), complex)
-            inc[dqf:, :] = np.eye(dsf)
-            inc_blocks.append(inc)
-            proj = np.zeros((dqf, dqf + dsf), complex)
-            proj[:, :dqf] = np.eye(dqf)
-            proj_blocks.append(proj)
-        inclusions.append(Morphism(ds, objects[i], tuple(inc_blocks)))
-        projections.append(Morphism(objects[i], dq, tuple(proj_blocks)))
+        dq, ds = obj(quot, i), obj(sub, i)
+        inclusions.append(Morphism(ds, objects[i], block_matrix(
+            [[zero_morphism(ds, dq)], [identity_morphism(ds)]]
+        )))
+        projections.append(Morphism(objects[i], dq, block_matrix(
+            [[identity_morphism(dq), zero_morphism(ds, dq)]]
+        )))
     return cone, inclusions, projections
 
 

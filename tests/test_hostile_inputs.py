@@ -1,0 +1,111 @@
+"""Hostile inputs: non-finite entries, magnitudes near overflow, empty data.
+
+They must raise a typed ``InputValidationError`` or give the right answer.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from l2torsion.backends import (
+    family_backend,
+    family_morphism,
+    family_object,
+    matrix_backend,
+    matrix_morphism,
+    matrix_object,
+    uniform_interval_samples,
+)
+from l2torsion.cli import EXIT_INVALID, main
+from l2torsion.errors import InputValidationError, NotAChainComplexError
+from l2torsion.extcoh import ChainComplexC
+from l2torsion.serialize import morphism_to_json
+from l2torsion.torsion import torsion
+
+NONFINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("value", NONFINITE)
+def test_matrix_blocks_must_be_finite(value):
+    obj = matrix_object(matrix_backend(), 2)
+    with pytest.raises(InputValidationError, match="finite"):
+        matrix_morphism(obj, obj, np.diag([value, 1.0]))
+
+
+@pytest.mark.parametrize("value", NONFINITE)
+def test_family_blocks_must_be_finite(value):
+    backend = family_backend(uniform_interval_samples(4))
+    obj = family_object(backend, (1, 2, 1, 2))
+    blocks = [np.eye(d) for d in obj.dims]
+    blocks[3] = np.array([[1.0, 0.0], [0.0, value]])
+    with pytest.raises(InputValidationError, match="finite"):
+        family_morphism(obj, obj, blocks)
+
+
+@pytest.mark.parametrize("value", NONFINITE)
+def test_products_must_be_finite(value):
+    with pytest.raises(InputValidationError, match="finite"):
+        matrix_object(matrix_backend(), 2, product=np.diag([value, 1.0]))
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("kind", ["Matrix", "Family"])
+def test_cli_rejects_nonfinite_morphism_json(tmp_path, caplog, kind, token):
+    if kind == "Matrix":
+        obj = matrix_object(matrix_backend(), 2)
+        m = matrix_morphism(obj, obj, np.diag([3.0, 2.0]))
+    else:
+        obj = family_object(family_backend(uniform_interval_samples(3)), 1)
+        m = family_morphism(obj, obj, [[[2.0]]] * 3)
+    text = json.dumps(morphism_to_json(m))
+    assert text.count("2.0") >= 1
+    path = tmp_path / "m.json"
+    path.write_text(text.replace("2.0", token, 1))
+    assert main(["fkdet", "--morphism", str(path)]) == EXIT_INVALID
+    assert "finite" in caplog.text
+
+
+@pytest.mark.parametrize("x", [1e155, 1e300])
+def test_huge_matrix_differential(x):
+    obj = matrix_object(matrix_backend(), 1)
+    report = torsion(ChainComplexC((obj, obj), (matrix_morphism(obj, obj, [[x]]),)))
+    assert report.betti == [0.0, 0.0]
+    assert [v.status for v in report.detclass] == ["Convergent", "Convergent"]
+    assert report.combined.log_coeff == pytest.approx(-math.log(x), rel=1e-14)
+
+
+@pytest.mark.parametrize("x", [1e155, 1e300])
+def test_huge_family_fiber(x):
+    samples = uniform_interval_samples(3)
+    obj = family_object(family_backend(samples), 1)
+    values = [2.0, x, 0.5]
+    d = family_morphism(obj, obj, [[[v]] for v in values])
+    report = torsion(ChainComplexC((obj, obj), (d,)))
+    assert report.betti == pytest.approx([0.0, 0.0], abs=1e-15)
+    expected = -sum(w * math.log(v) for w, v in zip(samples[:, 1], values))
+    assert report.combined.log_coeff == pytest.approx(expected, rel=1e-14)
+
+
+def test_huge_complex_keeps_its_d2_check():
+    """Two consecutive differentials near 1e155 still have to compose to
+    zero; the check does not overflow into accepting anything."""
+    obj1 = matrix_object(matrix_backend(), 1)
+    obj2 = matrix_object(matrix_backend(), 2)
+    d0 = matrix_morphism(obj1, obj2, [[1e155], [0.0]])
+    ok = matrix_morphism(obj2, obj1, [[0.0, 1e155]])
+    bad = matrix_morphism(obj2, obj1, [[1e155, 1e155]])
+    ChainComplexC((obj1, obj2, obj1), (d0, ok))
+    with pytest.raises(NotAChainComplexError):
+        ChainComplexC((obj1, obj2, obj1), (d0, bad))
+
+
+def test_empty_family_rejected():
+    with pytest.raises(InputValidationError):
+        family_backend(np.zeros((0, 2)))
+
+
+def test_empty_complex_rejected():
+    with pytest.raises(InputValidationError):
+        ChainComplexC((), ())
