@@ -343,9 +343,6 @@ class Fibers(Sequence):
         group, pos = self._locate()
         return self.groups[group[f]][1][pos[f]]
 
-    def __iter__(self):
-        return (self[f] for f in range(self.n))
-
     def take(self, idx: np.ndarray) -> np.ndarray:
         """The stacked arrays of the fibers ``idx``, which share one shape."""
         if len(self.groups) == 1:  # then the group's indices are range(n)
@@ -482,11 +479,12 @@ class HObject:
     def __init__(self, backend: CategoryBackend, dims, products=None,
                  native_shape=None) -> None:
         self.backend = backend
-        self._dim_array = None
         if isinstance(dims, np.ndarray):
             self._dim_array = dims.astype(int, copy=False).reshape(-1)
-            dims = self._dim_array.tolist()
-        self.dims = tuple(map(int, dims))
+            self.dims = tuple(self._dim_array.tolist())
+        else:
+            self._dim_array = None
+            self.dims = tuple(map(int, dims))
         if len(self.dims) != backend.n_fibers:
             raise ShapeMismatchError("fiber count does not match backend")
         # the common dimension of all fibers, or None

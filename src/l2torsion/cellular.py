@@ -401,13 +401,12 @@ def cochain_complex(k: CellComplex, rep: Representation) -> ChainComplexC:
     by_dim = [k.cells_of_dim(d) for d in range(k.dimension + 1)]
     objects = [HObject(backend, len(cells) * module.dim_array) for cells in by_dim]
 
+    groups = module.dim_groups()
     diffs = []
     for d in range(k.dimension):
         rows, cols = by_dim[d + 1], by_dim[d]
-        stacks = [
-            np.zeros((len(idx), len(rows) * m, len(cols) * m), complex)
-            for idx, m in module.dim_groups()
-        ]
+        stacks = [np.zeros((len(idx), len(rows) * m, len(cols) * m), complex)
+                  for idx, m in groups]
         for ri, big in enumerate(rows):
             entries = {fid: s for fid, s in _merged_boundary(k, big)}
             for ci, small in enumerate(cols):
@@ -415,10 +414,9 @@ def cochain_complex(k: CellComplex, rep: Representation) -> ChainComplexC:
                 img = rep.sum_image(s) if s else None
                 if img is None:
                     continue
-                for (idx, m), st in zip(module.dim_groups(), stacks):
+                for (idx, m), st in zip(groups, stacks):
                     st[:, ri * m : (ri + 1) * m, ci * m : (ci + 1) * m] = img.take(idx)
-        blocks = Fibers(list(zip((idx for idx, _ in module.dim_groups()), stacks)),
-                        backend.n_fibers)
+        blocks = Fibers([(idx, st) for (idx, _), st in zip(groups, stacks)], backend.n_fibers)
         diffs.append(Morphism(objects[d], objects[d + 1], blocks))
     # relations hold symbolically in the group ring; a differential whose
     # image happens to be numerically tiny must not shrink the d^2 = 0 bound

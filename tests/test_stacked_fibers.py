@@ -58,9 +58,20 @@ def _ragged_fibers(rng, k):
     return [a, a + b, b], [d0, d1]
 
 
-def _family_complex(samples, dims, diffs):
+def _products(rng, dims):
+    """Per degree, positive definite products on every other fiber and the
+    standard product on the rest."""
+    def positive(n):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return a.conj().T @ a + np.eye(n)
+
+    return [[positive(int(d[f])) if f % 2 else None for f in range(len(d))] for d in dims]
+
+
+def _family_complex(samples, dims, diffs, products=None):
     backend = family_backend(samples)
-    objects = [family_object(backend, tuple(d)) for d in dims]
+    products = products or [None] * len(dims)
+    objects = [family_object(backend, tuple(d), p) for d, p in zip(dims, products)]
     return ChainComplexC(
         tuple(objects),
         tuple(family_morphism(objects[i], objects[i + 1], blocks)
@@ -68,9 +79,10 @@ def _family_complex(samples, dims, diffs):
     )
 
 
-def _fiber_complex(dims, diffs, f):
+def _fiber_complex(dims, diffs, f, products=None):
     backend = matrix_backend()
-    objects = [matrix_object(backend, int(d[f])) for d in dims]
+    products = products or [[None] * len(d) for d in dims]
+    objects = [matrix_object(backend, int(d[f]), p[f]) for d, p in zip(dims, products)]
     return ChainComplexC(
         tuple(objects),
         tuple(matrix_morphism(objects[i], objects[i + 1], blocks[f])
@@ -78,13 +90,15 @@ def _fiber_complex(dims, diffs, f):
     )
 
 
+@pytest.mark.parametrize("with_products", [False, True])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_ragged_family_matches_the_fiberwise_sum(seed):
+def test_ragged_family_matches_the_fiberwise_sum(seed, with_products):
     rng = np.random.default_rng(seed)
     k = 9
     samples = uniform_interval_samples(k)
     dims, diffs = _ragged_fibers(rng, k)
-    c = _family_complex(samples, dims, diffs)
+    products = _products(rng, dims) if with_products else None
+    c = _family_complex(samples, dims, diffs, products)
     assert len({tuple(d[f] for d in dims) for f in range(k)}) > 1
 
     report = torsion(c)
@@ -99,7 +113,7 @@ def test_ragged_family_matches_the_fiberwise_sum(seed):
 
     weights = samples[:, 1]
     oracle = sum(
-        w * torsion(_fiber_complex(dims, diffs, f)).combined.log_coeff
+        w * torsion(_fiber_complex(dims, diffs, f, products)).combined.log_coeff
         for f, w in enumerate(weights)
     )
     assert report.combined.log_coeff == pytest.approx(oracle, rel=0.0, abs=1e-10)
