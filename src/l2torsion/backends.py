@@ -429,17 +429,16 @@ class FiberValues:
 # objects and morphisms
 
 
-def _as_gram(dims: np.ndarray, products) -> tuple:
-    """(product operators as Fibers, identity on standard fibers; which
-    fibers were given one), or (None, None) when every fiber is standard."""
+def _as_gram(dims: np.ndarray, products) -> Fibers | None:
+    """The product operators as Fibers, identity on standard fibers, or None
+    when every fiber is standard."""
     if isinstance(products, Fibers):
-        gram, given = products, np.ones(len(dims), bool)
+        gram = products
     else:
         if len(products) != len(dims):
             raise ShapeMismatchError("need one product operator per fiber")
-        given = np.array([p is not None for p in products])
-        if not given.any():
-            return None, None
+        if all(p is None for p in products):
+            return None
         mats = []
         for d, p in zip(dims.tolist(), products):
             p = np.eye(d, dtype=complex) if p is None else np.asarray(p, dtype=complex)
@@ -459,7 +458,7 @@ def _as_gram(dims: np.ndarray, products) -> tuple:
             raise InputValidationError("product operator must be self-adjoint")
         if np.linalg.eigvalsh(p).min() <= DEFAULT_RANK_TOL:
             raise InputValidationError("product operator must be positive definite")
-    return gram, given
+    return gram
 
 
 class HObject:
@@ -474,7 +473,7 @@ class HObject:
     """
 
     __slots__ = ("backend", "dims", "uniform_dim", "native_shape", "gram",
-                 "_given", "_dim_array", "_factors", "_dim_groups")
+                 "_dim_array", "_factors", "_dim_groups")
 
     def __init__(self, backend: CategoryBackend, dims, products=None,
                  native_shape=None) -> None:
@@ -491,9 +490,7 @@ class HObject:
         d = self.dims[0]
         self.uniform_dim = d if self.dims.count(d) == len(self.dims) else None
         self.native_shape = native_shape
-        self.gram, self._given = (None, None) if products is None else _as_gram(
-            self.dim_array, products
-        )
+        self.gram = None if products is None else _as_gram(self.dim_array, products)
         self._factors = None
         self._dim_groups = None
 
@@ -506,10 +503,11 @@ class HObject:
 
     @property
     def products(self) -> tuple:
-        """Per fiber, the product operator, or None for the standard one."""
+        """Per fiber, the product operator; None on every fiber when all are
+        standard."""
         if self.gram is None:
             return (None,) * len(self.dims)
-        return tuple(self.gram[f] if g else None for f, g in enumerate(self._given))
+        return tuple(self.gram)
 
     @property
     def dim_tau(self) -> float:
@@ -775,12 +773,16 @@ def dim_tau(obj: HObject) -> float:
     return obj.dim_tau
 
 
+def largest_norm(stack: np.ndarray) -> float:
+    """Largest Frobenius norm of a matrix of a stack."""
+    if len(stack) == 1:
+        return float(np.linalg.norm(stack[0]))
+    return float(np.linalg.norm(stack, axis=(1, 2)).max())
+
+
 def largest_block_norm(m: Morphism) -> float:
     """Largest Frobenius norm of a block of m."""
-    return max(
-        (float(np.linalg.norm(b, axis=(1, 2)).max()) for _, b in m.blocks.groups),
-        default=0.0,
-    )
+    return max((largest_norm(b) for _, b in m.blocks.groups), default=0.0)
 
 
 def compose(f: Morphism, g: Morphism) -> Morphism:

@@ -40,6 +40,7 @@ from .backends import (
     full_subobject,
     kernel_and_image_closure,
     largest_block_norm,
+    largest_norm,
     orthocomplement,
     scale_morphism,
     subobject_from_std_frames,
@@ -219,16 +220,17 @@ class ChainComplexC:
                 and d.target.same_space(self.objects[i + 1])
             ):
                 raise ShapeMismatchError(f"differential {i} does not fit the grading")
+        norms = [d.norm() for d in self.diffs] if len(self.diffs) > 1 else []
         for i in range(len(self.diffs) - 1):
             # compared after dividing both maps by their norms, so that
             # neither the composition nor the bound overflows
             a, b = self.diffs[i + 1], self.diffs[i]
-            na, nb = a.norm(), b.norm()
+            na, nb = norms[i + 1], norms[i]
             if na == 0.0 or nb == 0.0:
                 continue
             bound = max(1.0, (self.check_norm / na) * (self.check_norm / nb))
             if any(
-                np.linalg.norm((x / na) @ (y / nb), axis=(1, 2)).max() > 1e-10 * bound
+                largest_norm((x / na) @ (y / nb)) > 1e-10 * bound
                 for _, (x, y) in align(a.blocks, b.blocks)
             ):
                 raise NotAChainComplexError(
