@@ -393,10 +393,12 @@ def align(*parts: Fibers) -> list:
 
 
 def _eye_stack(k: int, d: int) -> np.ndarray:
+    """k copies of the d x d identity."""
     return np.repeat(np.eye(d, dtype=complex)[None], k, axis=0)
 
 
 def hermitian(stack: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
     return np.swapaxes(stack, -1, -2).conj()
 
 
