@@ -10,9 +10,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l2torsion.backends import (
     Fibers,
+    align,
+    compose,
     family_backend,
     family_morphism,
     family_object,
@@ -186,6 +190,33 @@ def test_blocks_read_per_fiber_in_any_grouping():
     for (r, u, s, vh), blk in zip(fiber_svds(m), blocks):
         assert r == min(blk.shape)
         assert np.allclose((u[:, : len(s)] * s) @ vh[: len(s)], blk)
+
+
+@given(
+    rows=st.lists(st.integers(0, 3), min_size=1, max_size=12),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_align_pairs_fibers_across_groupings(rows, data):
+    """Two Fibers over the same fibers but grouped differently line up
+    fiber by fiber, and compose like their per-fiber blocks."""
+    n = len(rows)
+    mids = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    rng = np.random.default_rng(n)
+    left = [rng.normal(size=(r, m)) + 0j for r, m in zip(rows, mids)]
+    right = [rng.normal(size=(m, 2)) + 0j for m in mids]
+    a, b = Fibers.from_list(left), Fibers.from_list(right)
+    covered = []
+    for idx, (x, y) in align(a, b):
+        covered.extend(idx.tolist())
+        for k, f in enumerate(idx):
+            assert np.array_equal(x[k], left[f]) and np.array_equal(y[k], right[f])
+    assert sorted(covered) == list(range(n))
+    backend = family_backend(uniform_interval_samples(n))
+    f = family_morphism(family_object(backend, tuple(mids)), family_object(backend, tuple(rows)), left)
+    g = family_morphism(family_object(backend, 2), family_object(backend, tuple(mids)), right)
+    for fib, blk in enumerate(compose(f, g).blocks):
+        assert np.allclose(blk, left[fib] @ right[fib])
 
 
 @pytest.fixture
