@@ -406,7 +406,7 @@ def frobenius(stack: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a nonempty stack, computed after
     dividing by the largest entry magnitude, so it does not overflow."""
     a = np.abs(stack)
-    top = a.max(axis=(1, 2))
+    top = a.max(axis=(1, 2), initial=0.0)
     unit = np.where(top > 0, top, 1.0)[:, None, None]
     return top * np.sqrt(((a / unit) ** 2).sum(axis=(1, 2)))
 
@@ -661,9 +661,11 @@ class Morphism:
         return self.source.same_space(self.target)
 
     def norm(self) -> float:
-        """Largest operator norm of a block."""
+        """Largest operator norm of a block: max |a| over a group of 1 x 1
+        blocks a, the largest singular value (one batched SVD) otherwise."""
         return max(
-            (float(np.linalg.norm(b[0], 2) if len(b) == 1
+            (float(np.abs(b).max() if b.shape[1:] == (1, 1)
+                   else np.linalg.norm(b[0], 2) if len(b) == 1
                    else np.linalg.norm(b, 2, axis=(1, 2)).max())
              for _, b in self.blocks.groups if min(b.shape[1:])),
             default=0.0,
@@ -776,10 +778,9 @@ def dim_tau(obj: HObject) -> float:
 
 
 def largest_norm(stack: np.ndarray) -> float:
-    """Largest Frobenius norm of a matrix of a stack."""
-    if len(stack) == 1:
-        return float(np.linalg.norm(stack[0]))
-    return float(np.linalg.norm(stack, axis=(1, 2)).max())
+    """Largest Frobenius norm of a matrix of a nonempty stack, computed
+    without overflow."""
+    return float(frobenius(stack).max())
 
 
 def largest_block_norm(m: Morphism) -> float:
@@ -1013,6 +1014,18 @@ class FiberSVD:
             yield r, u, s, vh
 
 
+def _scalar_svd(b: np.ndarray, vectors: bool) -> tuple:
+    """(U, s, Vh) of a (k, 1, 1) stack in closed form, U and Vh None
+    without ``vectors``."""
+    s = np.abs(b[:, 0])
+    if not vectors:
+        return None, s, None
+    nonzero = s > 0
+    u = np.ones_like(b)
+    np.divide(b, s[:, :, None], out=u, where=nonzero[:, :, None])
+    return u, s, np.ones_like(b)
+
+
 def fiber_svds(
     f: Morphism, tol: float = DEFAULT_RANK_TOL, scale=0.0, vectors: bool = True
 ) -> FiberSVD:
@@ -1028,6 +1041,9 @@ def fiber_svds(
     but meaningful entries is never truncated against an unrelated fiber's
     magnitude. U and Vh are full (square) unitaries; with ``vectors=False``
     only the values are computed and U, Vh are None.
+
+    A group of 1 x 1 blocks a takes no SVD call: s = |a|, U = a / |a| (1
+    where a = 0) and Vh = 1, the factors LAPACK returns for a 1 x 1 block.
     """
     scale = np.asarray(scale, float)
     rank = np.zeros(f.backend.n_fibers, int)
@@ -1038,8 +1054,11 @@ def fiber_svds(
             u, vh = (_eye_stack(k, rows), _eye_stack(k, cols)) if vectors else (None, None)
             groups.append((idx, u, np.zeros((k, 0)), vh, 0))
             continue
-        svd = np.linalg.svd(b, compute_uv=vectors)
-        u, s, vh = svd if vectors else (None, svd, None)
+        if rows == cols == 1:
+            u, s, vh = _scalar_svd(b, vectors)
+        else:
+            svd = np.linalg.svd(b, compute_uv=vectors)
+            u, s, vh = svd if vectors else (None, svd, None)
         cut = tol * np.maximum(s[:, 0], scale[idx] if scale.ndim else scale)
         rank[idx] = ranks = np.where(cut > 0, np.count_nonzero(s > cut[:, None], axis=1), 0)
         for sel, r in partition(ranks):

@@ -203,8 +203,7 @@ class ChainComplexC:
         out = np.zeros(self.backend.n_fibers)
         for d in self.diffs:
             for idx, b in d.standardized_blocks().groups:
-                if b.size:
-                    out[idx] = np.maximum(out[idx], frobenius(b))
+                out[idx] = np.maximum(out[idx], frobenius(b))
         return out
 
     def __post_init__(self) -> None:

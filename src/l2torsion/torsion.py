@@ -270,6 +270,29 @@ def _check_formulas(via_laplacian: float, via_svd: float) -> float:
     return abs(via_svd - via_laplacian)
 
 
+# binary exponent of a fiber norm beyond which the Laplacian, made of
+# squares of the differentials, may overflow or underflow
+_SQUARE_SAFE_EXP = 256
+
+
+def _square_safe(c: ChainComplexC) -> tuple:
+    """(c', e): c with the differentials of each fiber f whose norm lies
+    outside 2^(+-256) divided by the power of two 2^e[f] that brings that
+    norm into [1, 2); e[f] = 0 on every other fiber. The division is exact,
+    and c' is c itself when no fiber moves."""
+    _, k = np.frexp(c.fiber_scales())
+    e = np.where(np.abs(k) > _SQUARE_SAFE_EXP, k - 1, 0)
+    if not e.any():
+        return c, e
+    unit = np.ldexp(1.0, e)[:, None, None]
+    diffs = tuple(
+        Morphism(d.source, d.target,
+                 Fibers([(idx, b / unit[idx]) for idx, b in d.blocks.groups], d.blocks.n))
+        for d in c.diffs
+    )
+    return ChainComplexC(c.objects, diffs, c.check_norm), e
+
+
 def torsion_acyclic(
     c: ChainComplexC, tol: float = DEFAULT_RANK_TOL, cross_check: bool = True
 ) -> float:
@@ -277,14 +300,20 @@ def torsion_acyclic(
 
     Computed as (1/2) sum_i (-1)^i i log Det(Delta_i) and cross-checked
     against the product of restricted-differential determinants coming out
-    of the nu construction; disagreement beyond 1e-8 raises.
+    of the nu construction; disagreement beyond 1e-8 raises. Fibers whose
+    Laplacian would leave the float range are rescaled by a power of two
+    2^e first (see :func:`_square_safe`); on an acyclic fiber that moves
+    log Det(Delta_i) by 2 e log 2 per dimension, which is added back.
     """
+    scaled, e = _square_safe(c)
+    log_units = math.log(2.0) * e * c.backend.fiber_weights
     total = 0.0
     for i in range(c.length):
-        density = spectral_density(c.laplacian(i), tol, check=False)
+        density = spectral_density(scaled.laplacian(i), tol, check=False)
         if density.zero_mass > 1e-8:
             raise NotAcyclicError(f"Laplacian in degree {i} has a kernel")
-        total += 0.5 * (-1) ** i * i * density.log_moment()
+        log_det = density.log_moment() + 2.0 * float(log_units @ c.objects[i].dim_array)
+        total += 0.5 * (-1) ** i * i * log_det
     if cross_check:
         via_nu = nu_map(c, tol=tol)
         if via_nu.word:
@@ -297,15 +326,13 @@ def torsion_acyclic(
 # epsilon splitting
 
 
-_SQRT_MAX = math.sqrt(np.finfo(float).max)
-
-
 def _laplacian_spectra(split: HodgeSplit, values: list) -> list:
     """Per degree i, the nonzero eigenvalues of Delta_i that the singular
     values ``values[i]`` give (the squares of those of d_{i-1} and d_i),
     with their fiber indices and whether each clears the cut split.tol *
-    (largest eigenvalue of Delta_i on its fiber). On a fiber whose largest
-    eigenvalue overflows, the cut compares (s / largest s)^2 instead."""
+    (largest eigenvalue of Delta_i on its fiber). The cut compares
+    (s / largest s of the fiber)^2 with split.tol, so that it holds where
+    s^2 overflows or underflows."""
     out = []
     for i in range(len(split.harmonic)):
         adjacent = values[max(i - 1, 0): i + 1]
@@ -314,13 +341,8 @@ def _laplacian_spectra(split: HodgeSplit, values: list) -> list:
         with np.errstate(over="ignore"):
             lam = s * s
         top = np.zeros(len(split.weights))
-        np.maximum.at(top, fib, lam)
-        clear = lam > split.tol * top[fib]
-        if s.size and s.max() > _SQRT_MAX:
-            huge = np.isinf(top[fib])
-            top_s = np.zeros(len(split.weights))
-            np.maximum.at(top_s, fib, s)
-            clear[huge] = (s[huge] / top_s[fib[huge]]) ** 2 > split.tol
+        np.maximum.at(top, fib, s)
+        clear = (s / top[fib]) ** 2 > split.tol
         out.append((lam, fib, clear))
     return out
 

@@ -2,7 +2,8 @@
 
 ``backends.fiber_svds`` is the only place that decomposes a morphism and
 decides its rank; densities, kernel/image frames, extended objects,
-sections and exactness all read it.
+sections and exactness all read it. Groups of 1 x 1 blocks take the closed
+form instead of a LAPACK call, and are held to np.linalg.svd here.
 """
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from l2torsion import backends
 from l2torsion.backends import (
+    DEFAULT_RANK_TOL,
     family_backend,
     family_morphism,
     family_object,
@@ -22,10 +24,13 @@ from l2torsion.backends import (
     uniform_interval_samples,
     zero_morphism,
 )
+from l2torsion.cellular import circle_complex, circle_regular_representation, cochain_complex
 from l2torsion.detline import check_exactness, orthogonal_section
 from l2torsion.errors import NotExactError
 from l2torsion.extcoh import extended_object, zero_object
+from l2torsion.harness import family_multiplication_map
 from l2torsion.spectral import singular_density
+from l2torsion.torsion import torsion
 
 # singular values at the default cut 1e-10 * (largest value) and one part in
 # 1e6 on either side of it
@@ -137,3 +142,64 @@ def test_every_reading_shares_the_rank_cut(kind, values):
     except NotExactError:
         exact = False
     assert exact == injective
+
+
+# 1 x 1 blocks across the float range, complex phases, and (at scale 1)
+# values at the rank cut 1e-10 and one part in 1e6 above it
+SCALARS = np.array([
+    0.0, 1e-300, -1e-300, 1e-170, 1e300, -1e300, 3 + 4j, -2j, np.exp(2.5j),
+    1e-200 * np.exp(-1j), 1e-10, -1e-10, 1e-10 * (1 + 1e-6), 1e-10j * (1 + 1e-6),
+])
+
+
+@pytest.mark.parametrize("scale, ranks", [
+    (0.0, [0] + [1] * 13),
+    (1.0, [0, 0, 0, 0, 1, 1, 1, 1, 1, 0, 0, 0, 1, 1]),
+])
+@pytest.mark.parametrize("vectors", [True, False])
+def test_scalar_blocks_match_lapack(vectors, scale, ranks, svd_calls):
+    f = family_multiplication_map(SCALARS)
+    scale = np.full(len(SCALARS), scale)
+    got = list(fiber_svds(f, scale=scale, vectors=vectors))
+    assert svd_calls == []
+
+    s_ref = np.linalg.svd(SCALARS.reshape(-1, 1, 1), compute_uv=False)
+    rank_ref = np.count_nonzero(
+        s_ref > DEFAULT_RANK_TOL * np.maximum(s_ref, scale[:, None]), axis=1)
+    assert [r for r, *_ in got] == rank_ref.tolist() == ranks
+    for (r, u, s, vh), a, sr in zip(got, SCALARS, s_ref):
+        np.testing.assert_allclose(s, sr, rtol=1e-15, atol=0)
+        if not vectors:
+            assert u is None and vh is None
+            continue
+        assert u.shape == vh.shape == (1, 1)
+        assert abs(u[0, 0]) == pytest.approx(1.0, abs=1e-15)
+        assert vh[0, 0] == 1.0
+        assert abs(u[0, 0] * s[0] * vh[0, 0] - a) <= 1e-15 * abs(a)
+
+
+def test_scalar_norm_matches_lapack():
+    f = family_multiplication_map(SCALARS)
+    assert f.norm() == 1e300
+    for a in SCALARS:
+        obj = matrix_object(matrix_backend(), 1)
+        m = matrix_morphism(obj, obj, [[a]])
+        assert m.norm() == pytest.approx(np.linalg.norm([[a]], 2), rel=1e-15, abs=0)
+
+
+def test_circle_takes_no_scalar_svd(svd_calls, monkeypatch):
+    """Neither fiber_svds nor Morphism.norm hands a stack of 1 x 1 blocks
+    to LAPACK on the circle with regular coefficients."""
+    norm_calls = []
+    real = np.linalg.norm
+
+    def counted(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            norm_calls.append(np.shape(x))
+        return real(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    c = cochain_complex(circle_complex(), circle_regular_representation(1024))
+    report = torsion(c)
+    assert report.scalar_value == pytest.approx(1.0, abs=1e-3)
+    assert [sh for sh in svd_calls + norm_calls if sh[-2:] == (1, 1)] == []

@@ -13,6 +13,8 @@ from l2torsion.backends import (
     family_backend,
     family_morphism,
     family_object,
+    frobenius,
+    largest_norm,
     matrix_backend,
     matrix_morphism,
     matrix_object,
@@ -20,9 +22,10 @@ from l2torsion.backends import (
 )
 from l2torsion.cli import EXIT_INVALID, main
 from l2torsion.errors import InputValidationError, NotAChainComplexError
-from l2torsion.extcoh import ChainComplexC
+from l2torsion.extcoh import ChainComplexC, cohomology
+from l2torsion.harness import family_multiplication_map
 from l2torsion.serialize import morphism_to_json
-from l2torsion.torsion import torsion
+from l2torsion.torsion import torsion, torsion_acyclic
 
 NONFINITE = [math.nan, math.inf, -math.inf]
 
@@ -86,6 +89,55 @@ def test_huge_family_fiber(x):
     assert report.betti == pytest.approx([0.0, 0.0], abs=1e-15)
     expected = -sum(w * math.log(v) for w, v in zip(samples[:, 1], values))
     assert report.combined.log_coeff == pytest.approx(expected, rel=1e-14)
+
+
+def test_huge_differential_with_user_epsilon():
+    """A user epsilon below s^2 puts s = 1e155 in the large part, whose
+    Laplacian cross-check squares it."""
+    obj = matrix_object(matrix_backend(), 1)
+    c = ChainComplexC((obj, obj), (matrix_morphism(obj, obj, [[1e155]]),))
+    report = torsion(c, epsilon=1.0)
+    assert report.combined.log_coeff == pytest.approx(-math.log(1e155), rel=1e-14)
+    assert report.checks["large_part_formulas"] < 1e-8 * math.log(1e155)
+
+
+@pytest.mark.parametrize("x", [1e155, 1e300])
+def test_torsion_acyclic_of_huge_differential(x):
+    obj = matrix_object(matrix_backend(), 1)
+    c = ChainComplexC((obj, obj), (matrix_morphism(obj, obj, [[x]]),))
+    assert torsion_acyclic(c) == pytest.approx(-math.log(x), rel=1e-14)
+
+
+@pytest.mark.parametrize("values", [[1e-170], [1e-200, 2.0, 1e300, 0.5]])
+def test_laplacian_formula_outside_the_square_range(values):
+    """The Laplacian formula alone, without the nu cross-check (nu certifies
+    no spectrum below SPECTRAL_FLOOR); on the Family only some fibers leave
+    the range, and each keeps its own scale."""
+    d = family_multiplication_map(values)
+    weights = d.backend.fiber_weights
+    expected = -sum(w * math.log(v) for w, v in zip(weights, values))
+    got = torsion_acyclic(ChainComplexC((d.source, d.target), (d,)), cross_check=False)
+    assert got == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("values", [
+    np.exp(-1.0 / ((np.arange(256) + 0.5) / 256)),  # smallest value e^(-512)
+    [1.0, 1e-170, 2.0, 3.0],
+], ids=["exp(-1/x)@256", "1e-170"])
+def test_injective_fibers_have_no_betti(values):
+    """Every fiber of d is injective and onto, so both trace-Betti numbers
+    vanish, however small s^2 is."""
+    d = family_multiplication_map(values)
+    c = ChainComplexC((d.source, d.target), (d,))
+    assert torsion(c).betti == [0.0, 0.0]
+    assert [deg.betti for deg in cohomology(c).degrees] == [0.0, 0.0]
+
+
+def test_largest_norm_does_not_overflow():
+    stack = np.full((1, 2, 2), 1e200)
+    assert largest_norm(stack) == pytest.approx(2e200, rel=1e-15)
+    assert largest_norm(stack) == frobenius(stack).max()
+    assert largest_norm(np.zeros((2, 0, 3))) == 0.0
 
 
 def test_huge_complex_keeps_its_d2_check():
