@@ -403,12 +403,9 @@ def hermitian(stack: np.ndarray) -> np.ndarray:
 
 
 def frobenius(stack: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a nonempty stack, computed after
-    dividing by the largest entry magnitude, so it does not overflow."""
-    a = np.abs(stack)
-    top = a.max(axis=(1, 2), initial=0.0)
-    unit = np.where(top > 0, top, 1.0)[:, None, None]
-    return top * np.sqrt(((a / unit) ** 2).sum(axis=(1, 2)))
+    """Frobenius norm of each matrix of a stack, reduced with hypot, so it
+    neither overflows nor underflows."""
+    return np.hypot.reduce(np.abs(stack).reshape(len(stack), -1), axis=1, initial=0.0)
 
 
 @dataclass
@@ -474,11 +471,10 @@ class HObject:
     when every fiber is standard.
     """
 
-    __slots__ = ("backend", "dims", "uniform_dim", "native_shape", "gram",
+    __slots__ = ("backend", "dims", "uniform_dim", "gram",
                  "_dim_array", "_factors", "_dim_groups")
 
-    def __init__(self, backend: CategoryBackend, dims, products=None,
-                 native_shape=None) -> None:
+    def __init__(self, backend: CategoryBackend, dims, products=None) -> None:
         self.backend = backend
         if isinstance(dims, np.ndarray):
             self._dim_array = dims.astype(int, copy=False).reshape(-1)
@@ -491,7 +487,6 @@ class HObject:
         # the common dimension of all fibers, or None
         d = self.dims[0]
         self.uniform_dim = d if self.dims.count(d) == len(self.dims) else None
-        self.native_shape = native_shape
         self.gram = None if products is None else _as_gram(self.dim_array, products)
         self._factors = None
         self._dim_groups = None
@@ -554,7 +549,7 @@ class HObject:
         return self.factors()[0][f]
 
     def with_products(self, products) -> "HObject":
-        return HObject(self.backend, self.dim_array, products, self.native_shape)
+        return HObject(self.backend, self.dim_array, products)
 
     def log_det_product(self) -> float:
         """log Det_tau of the product operator relative to standard coordinates."""
@@ -573,7 +568,7 @@ def matrix_object(backend: CategoryBackend, n: int, product=None) -> HObject:
     if backend.kind is not BackendKind.MATRIX:
         raise BackendMismatchError("matrix_object needs a Matrix backend")
     prods = None if product is None else (np.asarray(product, complex),)
-    return HObject(backend, (n,), prods, native_shape=n)
+    return HObject(backend, (n,), prods)
 
 
 def group_object(backend: CategoryBackend, rank: int, product=None) -> HObject:
@@ -587,7 +582,7 @@ def group_object(backend: CategoryBackend, rank: int, product=None) -> HObject:
         if product.ndim == 3:
             product = expand_group_matrix(backend.group_table, product)
         prods = (product,)
-    return HObject(backend, (rank * n,), prods, native_shape=rank)
+    return HObject(backend, (rank * n,), prods)
 
 
 def family_object(backend: CategoryBackend, dims, products=None) -> HObject:
@@ -596,7 +591,7 @@ def family_object(backend: CategoryBackend, dims, products=None) -> HObject:
     if np.isscalar(dims):
         dims = np.full(backend.n_fibers, int(dims))
     dims = tuple(np.asarray(dims, dtype=int).tolist())
-    return HObject(backend, dims, products, native_shape=dims)
+    return HObject(backend, dims, products)
 
 
 def _shape_groups(target: HObject, source: HObject) -> list:

@@ -66,14 +66,13 @@ class RunConfig:
     grid: int | None = None
     epsilon: float | None = None
     tol_rank: float = 1e-10
-    tol_agree: float = 1e-8
     seed: int = DEFAULT_SEED
     suite: str = "all"
     out: str | None = None
 
     def __post_init__(self) -> None:
-        if self.tol_rank <= 0 or self.tol_agree <= 0:
-            raise InputValidationError("tolerances must be positive")
+        if self.tol_rank <= 0:
+            raise InputValidationError("the rank tolerance must be positive")
         if self.grid is not None and self.grid < 8:
             raise InputValidationError("grid size must be at least 8")
         if self.epsilon is not None and not self.epsilon > 0:
@@ -83,7 +82,7 @@ class RunConfig:
         return {
             "version": __version__,
             "command": self.command,
-            "tolerances": {"rank": self.tol_rank, "agree": self.tol_agree},
+            "tolerances": {"rank": self.tol_rank},
             "grid": self.grid,
             "epsilon": self.epsilon,
             "seed": self.seed,
@@ -242,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=int)
         p.add_argument("--epsilon", type=float)
         p.add_argument("--tol-rank", type=float, default=1e-10)
-        p.add_argument("--tol-agree", type=float, default=1e-8)
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--suite", default="all", choices=("all", "fast"))
         p.add_argument("--out")
@@ -279,7 +277,6 @@ def main(argv=None) -> int:
             grid=args.grid,
             epsilon=args.epsilon,
             tol_rank=args.tol_rank,
-            tol_agree=args.tol_agree,
             seed=args.seed,
             suite=args.suite,
             out=args.out,

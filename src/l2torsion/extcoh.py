@@ -18,7 +18,7 @@ uses, so the three reports agree by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -244,23 +244,14 @@ class ChainComplexC:
     def backend(self) -> CategoryBackend:
         return self.objects[0].backend
 
-    def differential(self, i: int) -> Morphism:
-        """d_i: C^i -> C^{i+1}; zero maps outside the support."""
-        if 0 <= i < len(self.diffs):
-            return self.diffs[i]
-        zero = zero_object(self.backend)
-        if i < 0:
-            return zero_morphism(zero, self.objects[0])
-        return zero_morphism(self.objects[-1], zero)
-
     def laplacian(self, i: int) -> Morphism:
-        """Delta_i = d_i^* d_i + d_{i-1} d_{i-1}^* on C^i."""
-        up = self.differential(i)
-        down = self.differential(i - 1)
-        lap = compose(adjoint(up), up)
-        if down.source.dim_tau > 0:
-            lap = add(lap, compose(down, adjoint(down)))
-        return lap
+        """Delta_i = d_i^* d_i + d_{i-1} d_{i-1}^* on C^i; a differential
+        outside the complex contributes no term."""
+        terms = [compose(adjoint(d), d) for d in self.diffs[i:i + 1]]
+        terms += [compose(d, adjoint(d)) for d in self.diffs[max(i - 1, 0):i]]
+        if not terms:
+            return zero_morphism(self.objects[i], self.objects[i])
+        return terms[0] if len(terms) == 1 else add(*terms)
 
     @property
     def euler_characteristic(self) -> float:
@@ -268,35 +259,44 @@ class ChainComplexC:
             sum((-1) ** i * o.dim_tau for i, o in enumerate(self.objects))
         )
 
+    # The derived complexes below are made with ``replace`` and keep
+    # check_norm: shifting, negating and padding change no product d_{i+1} d_i.
+
     def shift(self) -> "ChainComplexC":
         """Degree shift by one: a zero object is prepended, all degrees move up."""
         zero = zero_object(self.backend)
-        return ChainComplexC(
-            (zero,) + self.objects,
-            (zero_morphism(zero, self.objects[0]),) + self.diffs,
+        return replace(
+            self,
+            objects=(zero,) + self.objects,
+            diffs=(zero_morphism(zero, self.objects[0]),) + self.diffs,
         )
 
     def negate_differentials(self) -> "ChainComplexC":
-        return ChainComplexC(
-            self.objects, tuple(scale_morphism(d, -1.0) for d in self.diffs)
+        return replace(self, diffs=tuple(scale_morphism(d, -1.0) for d in self.diffs))
+
+    def padded(self, n: int) -> "ChainComplexC":
+        """The complex followed by zero objects and zero differentials up to
+        length n; the complex itself when it is at least that long."""
+        if n <= self.length:
+            return self
+        objects = self.objects + (zero_object(self.backend),) * (n - self.length)
+        tail = zip(objects[self.length - 1:-1], objects[self.length:])
+        return replace(
+            self,
+            objects=objects,
+            diffs=self.diffs + tuple(zero_morphism(a, b) for a, b in tail),
         )
 
 
 def direct_sum_complexes(a: ChainComplexC, b: ChainComplexC) -> ChainComplexC:
     """Degreewise direct sum (the shorter complex is padded with zeros)."""
     n = max(a.length, b.length)
-    zero = zero_object(a.backend)
-
-    def obj(c, i):
-        return c.objects[i] if i < c.length else zero
-
-    objects = tuple(direct_sum_objects(obj(a, i), obj(b, i)) for i in range(n))
-    diffs = []
-    for i in range(n - 1):
-        da = a.differential(i) if i < a.length - 1 else zero_morphism(obj(a, i), obj(a, i + 1))
-        db = b.differential(i) if i < b.length - 1 else zero_morphism(obj(b, i), obj(b, i + 1))
-        diffs.append(direct_sum_morphisms(da, db))
-    return ChainComplexC(objects, tuple(diffs))
+    a, b = a.padded(n), b.padded(n)
+    return ChainComplexC(
+        tuple(map(direct_sum_objects, a.objects, b.objects)),
+        tuple(map(direct_sum_morphisms, a.diffs, b.diffs)),
+        max(a.check_norm, b.check_norm),
+    )
 
 
 @dataclass

@@ -31,6 +31,9 @@ LADDER_WINDOW = 4
 CONVERGENCE_TOL = 1e-8
 DECREMENT_TOL = 1e-9
 BELOW_FLOOR_SLACK = 0.5
+NS_DECADES = 2.0
+NS_MIN_POINTS = 8
+NS_MIN_SPAN = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +111,7 @@ def singular_density(f: Morphism, tol: float = DEFAULT_RANK_TOL) -> SpectralDens
     return SpectralDensity.from_fibers(kept, f.backend.fiber_weights, f.source.dim_array)
 
 
-def spectral_density(
-    m: Morphism, tol: float = DEFAULT_RANK_TOL, check: bool = True
-) -> SpectralDensity:
+def spectral_density(m: Morphism, tol: float = DEFAULT_RANK_TOL) -> SpectralDensity:
     """Spectral density of a positive self-adjoint endomorphism.
 
     One batched eigenvalue call per shape group; per fiber, eigenvalues at
@@ -122,7 +123,7 @@ def spectral_density(
     for idx, b in m.standardized_blocks().groups:
         if not b.shape[1]:
             continue
-        if check and np.any(
+        if np.any(
             np.linalg.norm(b - np.swapaxes(b, 1, 2).conj(), axis=(1, 2))
             > 1e-8 * np.maximum(np.linalg.norm(b, axis=(1, 2)), 1.0)
         ):
@@ -184,12 +185,7 @@ class DetClassVerdict:
         return self.status == "Convergent"
 
 
-def classify_determinant(
-    density: SpectralDensity,
-    conv_tol: float = CONVERGENCE_TOL,
-    floor: float = SPECTRAL_FLOOR,
-    slack: float = BELOW_FLOOR_SLACK,
-) -> DetClassVerdict:
+def classify_determinant(density: SpectralDensity) -> DetClassVerdict:
     """Certify whether the log moment of a sampled density converges.
 
     The ladder tail I(eps_8) - I(eps_12) measures how much log-mass the last
@@ -202,7 +198,7 @@ def classify_determinant(
         (10.0 ** (-m), density.log_moment_above(10.0 ** (-m)))
         for m in range(1, LADDER_DEPTH + 1)
     ]
-    sel = density.values <= floor
+    sel = density.values <= SPECTRAL_FLOOR
     with np.errstate(divide="ignore"):
         below = float(np.dot(density.masses[sel], np.log(density.values[sel])))
     tail_drop = ladder[LADDER_DEPTH - 1 - LADDER_WINDOW][1] - ladder[-1][1]
@@ -210,12 +206,13 @@ def classify_determinant(
         ladder[m][1] - ladder[m + 1][1]
         for m in range(LADDER_DEPTH - 1 - LADDER_WINDOW, LADDER_DEPTH - 1)
     ]
-    injective = density.zero_mass <= conv_tol
-    if abs(tail_drop) <= conv_tol and abs(below) <= conv_tol and injective:
+    injective = density.zero_mass <= CONVERGENCE_TOL
+    if (abs(tail_drop) <= CONVERGENCE_TOL and abs(below) <= CONVERGENCE_TOL
+            and injective):
         return DetClassVerdict(
             "Convergent", density.log_moment(), ladder, below, density.zero_mass
         )
-    heavy_below = (not math.isfinite(below)) or abs(below) > slack
+    heavy_below = (not math.isfinite(below)) or abs(below) > BELOW_FLOOR_SLACK
     steady = all(d > DECREMENT_TOL for d in decrements)
     if (steady and heavy_below) or not injective:
         return DetClassVerdict(
@@ -266,30 +263,25 @@ def tau_isomorphism_test(f: Morphism, tol: float = DEFAULT_RANK_TOL) -> DetClass
 # Novikov-Shubin type exponent
 
 
-def ns_exponent(
-    density: SpectralDensity,
-    decades: float = 2.0,
-    min_points: int = 8,
-    min_span: float = 1.0,
-) -> float | None:
+def ns_exponent(density: SpectralDensity) -> float | None:
     """Least squares slope of log(phi(lam) - phi(0)) against log(lam).
 
-    The regression runs over the lowest ``decades`` decades of the positive
-    spectrum and needs at least ``min_points`` distinct spectral points
-    spanning ``min_span`` decades, all below a tenth of the spectral radius;
-    otherwise the sample is too thin to estimate an exponent and the result
-    is None.
+    The regression runs over the lowest ``NS_DECADES`` decades of the
+    positive spectrum and needs at least ``NS_MIN_POINTS`` distinct spectral
+    points spanning ``NS_MIN_SPAN`` decades, all below a tenth of the
+    spectral radius; otherwise the sample is too thin to estimate an
+    exponent and the result is None.
     """
     if len(density.values) == 0:
         return None
     lam_min = density.min_positive()
     lam_max = density.max_value()
-    hi = min(lam_min * 10.0**decades, 0.1 * lam_max)
+    hi = min(lam_min * 10.0**NS_DECADES, 0.1 * lam_max)
     pts = np.unique(density.values[density.values <= hi])
-    if len(pts) < min_points:
+    if len(pts) < NS_MIN_POINTS:
         return None
     span = math.log10(pts[-1] / pts[0]) if pts[0] > 0 else 0.0
-    if span < min_span:
+    if span < NS_MIN_SPAN:
         return None
     x = np.log(pts)
     y = np.log([density.cumulative(p) - density.zero_mass for p in pts])

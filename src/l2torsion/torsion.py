@@ -58,11 +58,11 @@ from .errors import (
     NotAChainMapError,
     NotAcyclicError,
 )
-from .extcoh import ChainComplexC, zero_object
+from .extcoh import ChainComplexC
 from .spectral import (
     SpectralDensity,
     classify_determinant,
-    spectral_density,
+    singular_density,
 )
 
 
@@ -234,7 +234,6 @@ def _rebased_log_coeff(sigma: DetLineElement, c: ChainComplexC) -> float:
 def nu_map(
     c: ChainComplexC,
     sigma: DetLineElement | None = None,
-    in_prefix: str = "C",
     out_prefix: str = "H",
     tol: float = DEFAULT_RANK_TOL,
 ) -> DetLineElement:
@@ -250,7 +249,7 @@ def nu_map(
     stay in the word and no scalar contribution is recorded for them.
     """
     if sigma is None:
-        sigma = complex_det_element(c, in_prefix)
+        sigma = complex_det_element(c)
     split = hodge_split(c, tol)
     log_coeff = _rebased_log_coeff(sigma, c)
     folded, unfolded = _fold(split, split.singular, out_prefix)
@@ -309,7 +308,7 @@ def torsion_acyclic(
     log_units = math.log(2.0) * e * c.backend.fiber_weights
     total = 0.0
     for i in range(c.length):
-        density = spectral_density(scaled.laplacian(i), tol, check=False)
+        density = singular_density(scaled.laplacian(i), tol)
         if density.zero_mass > 1e-8:
             raise NotAcyclicError(f"Laplacian in degree {i} has a kernel")
         log_det = density.log_moment() + 2.0 * float(log_units @ c.objects[i].dim_array)
@@ -553,6 +552,9 @@ def torsion(
 
 
 def _is_chain_map(f_list, src: ChainComplexC, dst: ChainComplexC) -> None:
+    if len(f_list) != src.length:
+        raise InputValidationError(
+            f"a chain map needs one map per degree: {src.length}, not {len(f_list)}")
     for i in range(src.length - 1):
         lhs = compose(dst.diffs[i], f_list[i])
         rhs = compose(f_list[i + 1], src.diffs[i])
@@ -661,42 +663,32 @@ def mapping_cone(c: ChainComplexC, ctilde: ChainComplexC, f_list) -> tuple:
     (cone, sub_inclusions, quot_projections) for the sequence
     0 -> C~[1] -> Cone -> C(-d) -> 0.
     """
-    _is_chain_map(f_list, c, ctilde)
+    return _cone_sequence(c, ctilde, f_list)[:3]
+
+
+def _cone_sequence(c: ChainComplexC, ctilde: ChainComplexC, f_list) -> tuple:
+    """:func:`mapping_cone` followed by the two end complexes of its
+    sequence, C~[1] and C(-d) padded to the length of the cone."""
     if ctilde.length != c.length:
         raise InputValidationError("chain map endpoints must share their length")
+    _is_chain_map(f_list, c, ctilde)
     sub = ctilde.shift()
-    quot = c.negate_differentials()
-    n = max(c.length, sub.length)
-    zero = zero_object(c.backend)
-
-    def obj(cc, i):
-        return cc.objects[i] if i < cc.length else zero
-
-    objects = tuple(
-        direct_sum_objects(obj(quot, i), obj(sub, i)) for i in range(n)
+    quot = c.negate_differentials().padded(sub.length)
+    objects = tuple(map(direct_sum_objects, quot.objects, sub.objects))
+    diffs = tuple(
+        # f_i: C^i -> C~^i, which is the sub part of Cone^{i+1}
+        Morphism(objects[i], objects[i + 1], block_matrix([
+            [dq, zero_morphism(sub.objects[i], quot.objects[i + 1])],
+            [f_i, ds],
+        ]))
+        for i, (dq, f_i, ds) in enumerate(zip(quot.diffs, f_list, sub.diffs))
     )
-    diffs = []
-    for i in range(n - 1):
-        q0, s0, q1, s1 = obj(quot, i), obj(sub, i), obj(quot, i + 1), obj(sub, i + 1)
-        d_quot = quot.diffs[i] if i < quot.length - 1 else zero_morphism(q0, q1)
-        # f_i : C^i -> C~^i, which is the sub part of Cone^{i+1}
-        f_i = f_list[i] if i < len(f_list) else zero_morphism(q0, s1)
-        d_sub = sub.diffs[i] if i < sub.length - 1 else zero_morphism(s0, s1)
-        diffs.append(Morphism(objects[i], objects[i + 1], block_matrix(
-            [[d_quot, zero_morphism(s0, q1)], [f_i, d_sub]]
-        )))
-    cone = ChainComplexC(objects, tuple(diffs))
-
     inclusions, projections = [], []
-    for i in range(n):
-        dq, ds = obj(quot, i), obj(sub, i)
-        inclusions.append(Morphism(ds, objects[i], block_matrix(
-            [[zero_morphism(ds, dq)], [identity_morphism(ds)]]
-        )))
-        projections.append(Morphism(objects[i], dq, block_matrix(
-            [[identity_morphism(dq), zero_morphism(ds, dq)]]
-        )))
-    return cone, inclusions, projections
+    for q, s, obj in zip(quot.objects, sub.objects, objects):
+        zero = zero_morphism(s, q)
+        inclusions.append(Morphism(s, obj, block_matrix([[zero], [identity_morphism(s)]])))
+        projections.append(Morphism(obj, q, block_matrix([[identity_morphism(q), zero]])))
+    return ChainComplexC(objects, diffs), inclusions, projections, sub, quot
 
 
 @dataclass
@@ -722,20 +714,7 @@ def cone_torsion_check(
     (harmonic frames on both sides are orthonormal over the same spaces, so
     comparing coefficients is comparing elements).
     """
-    cone, inclusions, projections = mapping_cone(c, ctilde, f_list)
-    sub = ctilde.shift()
-    quot = c.negate_differentials()
-    if quot.length < cone.length:
-        zero = zero_object(c.backend)
-        quot = ChainComplexC(
-            quot.objects + (zero,) * (cone.length - quot.length),
-            quot.diffs
-            + (zero_morphism(quot.objects[-1], zero),)
-            + tuple(
-                zero_morphism(zero, zero)
-                for _ in range(cone.length - quot.length - 1)
-            ),
-        )
+    cone, inclusions, projections, sub, quot = _cone_sequence(c, ctilde, f_list)
     rho_cone = torsion(cone, tol=tol)
     rho_sub = torsion(sub, tol=tol, out_prefix="HL")
     rho_quot = torsion(quot, tol=tol, out_prefix="HN")

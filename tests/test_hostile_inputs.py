@@ -14,18 +14,20 @@ from l2torsion.backends import (
     family_morphism,
     family_object,
     frobenius,
+    identity_morphism,
     largest_norm,
     matrix_backend,
     matrix_morphism,
     matrix_object,
     uniform_interval_samples,
 )
+from l2torsion.cellular import cochain_complex, cyclic_character_representation, lens_complex
 from l2torsion.cli import EXIT_INVALID, main
 from l2torsion.errors import InputValidationError, NotAChainComplexError
-from l2torsion.extcoh import ChainComplexC, cohomology
+from l2torsion.extcoh import ChainComplexC, cohomology, direct_sum_complexes
 from l2torsion.harness import family_multiplication_map
 from l2torsion.serialize import morphism_to_json
-from l2torsion.torsion import torsion, torsion_acyclic
+from l2torsion.torsion import cone_torsion_check, torsion, torsion_acyclic
 
 NONFINITE = [math.nan, math.inf, -math.inf]
 
@@ -138,6 +140,8 @@ def test_largest_norm_does_not_overflow():
     assert largest_norm(stack) == pytest.approx(2e200, rel=1e-15)
     assert largest_norm(stack) == frobenius(stack).max()
     assert largest_norm(np.zeros((2, 0, 3))) == 0.0
+    tiny = np.full((1, 2, 2), 1e-200)
+    assert largest_norm(tiny) == pytest.approx(2e-200, rel=1e-15)
 
 
 def test_huge_complex_keeps_its_d2_check():
@@ -151,6 +155,20 @@ def test_huge_complex_keeps_its_d2_check():
     ChainComplexC((obj1, obj2, obj1), (d0, ok))
     with pytest.raises(NotAChainComplexError):
         ChainComplexC((obj1, obj2, obj1), (d0, bad))
+
+
+@pytest.mark.parametrize("p, q, k", [(7, 2, 1), (7, 1, 2), (8, 1, 3), (64, 1, 1)])
+def test_derived_complexes_keep_their_reference_norm(p, q, k):
+    """These lens complexes with a character have a differential that is zero
+    up to rounding (norm about 1e-15), accepted against the reference norm of
+    the cellular complex. Shifting, negating, summing and coning change no
+    product of differentials, so none of them may reject the result."""
+    c = cochain_complex(lens_complex(p, q), cyclic_character_representation(p, k))
+    assert c.shift().length == c.negate_differentials().length + 1
+    assert direct_sum_complexes(c, c).length == c.length
+    report = cone_torsion_check(c, c, [identity_morphism(o) for o in c.objects])
+    assert report.passed
+    assert report.deviation <= 1e-10
 
 
 def test_empty_family_rejected():

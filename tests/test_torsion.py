@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from l2torsion import backends
 from l2torsion.backends import matrix_backend, matrix_morphism, matrix_object
+from l2torsion.cellular import circle_complex, circle_regular_representation, cochain_complex
 from l2torsion.errors import (
     InputValidationError,
     NotAChainMapError,
@@ -183,6 +185,16 @@ class TestExactSequences:
         with pytest.raises(NotAChainMapError):
             les_connecting_iso(L, M, N, broken, betas)
 
+    @pytest.mark.parametrize("which", ["alpha", "beta"])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_rejects_map_lists_of_the_wrong_length(self, rng, which, extra):
+        L, M, N, alphas, betas = random_exact_triple(rng, length=3, acyclic="both")
+        maps = {"alpha": list(alphas), "beta": list(betas)}
+        m = maps[which]
+        maps[which] = m[:extra] if extra < 0 else m + m[:extra]
+        with pytest.raises(InputValidationError, match="one map per degree"):
+            les_connecting_iso(L, M, N, maps["alpha"], maps["beta"])
+
 
 class TestCones:
     def test_cone_of_identity_is_acyclic(self, rng):
@@ -205,3 +217,55 @@ class TestCones:
             f_list = random_chain_map(rng, c, ct)
             report = cone_torsion_check(c, ct, f_list)
             assert report.passed, report.deviation
+
+    @pytest.mark.parametrize("check", [mapping_cone, cone_torsion_check])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_rejects_chain_maps_of_the_wrong_length(self, rng, check, extra):
+        c = random_acyclic_complex(rng, 3, 3)
+        ct = random_acyclic_complex(rng, 3, 3)
+        f_list = random_chain_map(rng, c, ct)
+        f_list = f_list[:extra] if extra < 0 else f_list + f_list[:extra]
+        with pytest.raises(InputValidationError, match="one map per degree"):
+            check(c, ct, f_list)
+
+    def test_check_derives_each_end_complex_once(self, rng, monkeypatch):
+        """The check reuses the shifted and the negated complex that the
+        cone was built from."""
+        calls = []
+        for name in ("shift", "negate_differentials"):
+            def counted(self, real=getattr(ChainComplexC, name), name=name):
+                calls.append(name)
+                return real(self)
+
+            monkeypatch.setattr(ChainComplexC, name, counted)
+        c = random_acyclic_complex(rng, 3, 3)
+        ct = random_acyclic_complex(rng, 3, 3)
+        assert cone_torsion_check(c, ct, random_chain_map(rng, c, ct)).passed
+        assert sorted(calls) == ["negate_differentials", "shift"]
+
+
+def test_circle_laplacians_take_no_zero_maps_and_no_eigvalsh(monkeypatch):
+    """The Laplacian cross-check of the circle at grid 1024 builds no zero
+    morphism past the ends of the complex and reads its 1 x 1 Laplacians
+    without a LAPACK eigenvalue call."""
+    zero_maps, eig_matrices = [], []
+    real_zero, real_eig = backends.zero_morphism, np.linalg.eigvalsh
+
+    def zero_morphism(*args, **kwargs):
+        zero_maps.append(args)
+        return real_zero(*args, **kwargs)
+
+    def eigvalsh(a, *args, **kwargs):
+        eig_matrices.append(int(np.prod(np.shape(a)[:-2])))
+        return real_eig(a, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "l2torsion" and getattr(module, "zero_morphism", None) is real_zero:
+            monkeypatch.setattr(module, "zero_morphism", zero_morphism)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    c = cochain_complex(circle_complex(), circle_regular_representation(1024))
+    report = torsion(c)
+    assert report.scalar_value == pytest.approx(1.0, abs=1e-3)
+    assert "large_part_formulas" in report.checks
+    assert zero_maps == []
+    assert sum(eig_matrices) == 0
