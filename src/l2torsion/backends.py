@@ -621,6 +621,8 @@ class Morphism:
     source: HObject
     target: HObject
     blocks: Fibers
+    # ``norm()`` of the read-only blocks, taken on the first call
+    _norm: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         source, target, blocks = self.source, self.target, self.blocks
@@ -657,14 +659,17 @@ class Morphism:
 
     def norm(self) -> float:
         """Largest operator norm of a block: max |a| over a group of 1 x 1
-        blocks a, the largest singular value (one batched SVD) otherwise."""
-        return max(
-            (float(np.abs(b).max() if b.shape[1:] == (1, 1)
-                   else np.linalg.norm(b[0], 2) if len(b) == 1
-                   else np.linalg.norm(b, 2, axis=(1, 2)).max())
-             for _, b in self.blocks.groups if min(b.shape[1:])),
-            default=0.0,
-        )
+        blocks a, the largest singular value (one batched SVD) otherwise.
+        Computed once per morphism."""
+        if self._norm is None:
+            self._norm = max(
+                (float(np.abs(b).max() if b.shape[1:] == (1, 1)
+                       else np.linalg.norm(b[0], 2) if len(b) == 1
+                       else np.linalg.norm(b, 2, axis=(1, 2)).max())
+                 for _, b in self.blocks.groups if min(b.shape[1:])),
+                default=0.0,
+            )
+        return self._norm
 
     def standardized_blocks(self) -> Fibers:
         """Blocks rewritten in orthonormal coordinates of both products.

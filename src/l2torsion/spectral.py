@@ -7,7 +7,7 @@ logarithmic moment of that density over the strictly positive part of the
 spectrum. Whether the logarithmic moment is finite cannot be read off a
 finite sample directly, so :func:`classify_determinant` produces an explicit
 certificate from a ladder of partial integrals plus the log-mass sitting
-below a hard floor.
+below a hard floor, all read off one suffix sum of the log terms.
 """
 
 from __future__ import annotations
@@ -34,6 +34,11 @@ BELOW_FLOOR_SLACK = 0.5
 NS_DECADES = 2.0
 NS_MIN_POINTS = 8
 NS_MIN_SPAN = 1.0
+# the rung thresholds eps_m = 10^-m, bit-identical to ``10.0 ** (-m)``
+# (``10.0 ** -np.arange(...)`` differs in the last bit at m = 5)
+LADDER_EPS = tuple(10.0 ** (-m) for m in range(1, LADDER_DEPTH + 1))
+# the ladder rungs, then the floor, then 0 (the Convergent log integral)
+_CUTS = np.array(LADDER_EPS + (SPECTRAL_FLOOR, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -56,9 +61,15 @@ class SpectralDensity:
     total_mass: float
 
     def __post_init__(self) -> None:
-        order = np.argsort(self.values)
-        self.values = np.asarray(self.values, float)[order]
-        self.masses = np.asarray(self.masses, float)[order]
+        values = np.asarray(self.values, float)
+        masses = np.asarray(self.masses, float)
+        if values.ndim != 1 or masses.shape != values.shape:
+            raise ShapeMismatchError(
+                f"density needs 1-D values and masses of one length, "
+                f"got shapes {values.shape} and {masses.shape}"
+            )
+        order = np.argsort(values)
+        self.values, self.masses = values[order], masses[order]
 
     def cumulative(self, lam: float) -> float:
         """phi(lam): total mass of spectrum in [0, lam]."""
@@ -73,16 +84,10 @@ class SpectralDensity:
     def min_positive(self) -> float:
         return float(self.values[0]) if len(self.values) else math.inf
 
-    def log_moment_above(self, eps: float) -> float:
-        """Partial integral of ln(lam) over spectrum strictly above eps."""
-        sel = self.values > eps
-        with np.errstate(divide="ignore"):
-            logs = np.log(self.values[sel])
-        return float(np.dot(self.masses[sel], logs))
-
     def log_moment(self) -> float:
         """Integral of ln(lam) over the whole positive spectrum (may be -inf)."""
-        return self.log_moment_above(0.0)
+        sel = self.values > 0.0
+        return float(np.dot(self.masses[sel], np.log(self.values[sel])))
 
     @classmethod
     def from_fibers(cls, kept: FiberValues, weights: np.ndarray, dims=None) -> "SpectralDensity":
@@ -188,32 +193,42 @@ class DetClassVerdict:
 def classify_determinant(density: SpectralDensity) -> DetClassVerdict:
     """Certify whether the log moment of a sampled density converges.
 
+    One pass takes the log terms m_k ln(lam_k) of the ascending spectrum and
+    their suffix sums tails[k] = sum of terms[k:], summed from the largest
+    value down (tails[n] = 0). Each partial integral I(eps) over the
+    spectrum strictly above eps is then one lookup, tails[searchsorted(eps,
+    "right")]: the rungs eps_m = 10^-m of the ladder, and eps = 0 for the
+    full log moment. Each rung adds only negative terms to the next, so
+    the ladder is exactly non-increasing, and an exact-zero value (log =
+    -inf) reaches no rung. ``below_floor`` sums the terms at or below
+    ``SPECTRAL_FLOOR`` directly.
+
     The ladder tail I(eps_8) - I(eps_12) measures how much log-mass the last
     four decades still contribute; ``below_floor`` measures everything below
     eps_12. A clean gap in the spectrum gives a zero tail and a Convergent
     verdict; mass marching through every tail rung plus a heavy below-floor
     contribution gives Divergent; anything in between stays Inconclusive.
     """
-    ladder = [
-        (10.0 ** (-m), density.log_moment_above(10.0 ** (-m)))
-        for m in range(1, LADDER_DEPTH + 1)
-    ]
-    sel = density.values <= SPECTRAL_FLOOR
+    values = density.values
     with np.errstate(divide="ignore"):
-        below = float(np.dot(density.masses[sel], np.log(density.values[sel])))
-    tail_drop = ladder[LADDER_DEPTH - 1 - LADDER_WINDOW][1] - ladder[-1][1]
-    decrements = [
-        ladder[m][1] - ladder[m + 1][1]
-        for m in range(LADDER_DEPTH - 1 - LADDER_WINDOW, LADDER_DEPTH - 1)
-    ]
+        terms = density.masses * np.log(values)
+    tails = np.zeros(len(values) + 1)
+    np.cumsum(terms[::-1], out=tails[-2::-1])
+    cut = np.searchsorted(values, _CUTS, side="right")
+    rungs = tails[cut[:LADDER_DEPTH]]
+    ladder = list(zip(LADDER_EPS, rungs.tolist()))
+    below = float(terms[:cut[LADDER_DEPTH]].sum())
+    start = LADDER_DEPTH - 1 - LADDER_WINDOW
+    tail_drop = rungs[start] - rungs[-1]
+    decrements = rungs[start:-1] - rungs[start + 1:]
     injective = density.zero_mass <= CONVERGENCE_TOL
     if (abs(tail_drop) <= CONVERGENCE_TOL and abs(below) <= CONVERGENCE_TOL
             and injective):
         return DetClassVerdict(
-            "Convergent", density.log_moment(), ladder, below, density.zero_mass
+            "Convergent", float(tails[cut[-1]]), ladder, below, density.zero_mass
         )
     heavy_below = (not math.isfinite(below)) or abs(below) > BELOW_FLOOR_SLACK
-    steady = all(d > DECREMENT_TOL for d in decrements)
+    steady = bool(np.all(decrements > DECREMENT_TOL))
     if (steady and heavy_below) or not injective:
         return DetClassVerdict(
             "Divergent",

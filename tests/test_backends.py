@@ -21,6 +21,7 @@ from l2torsion.backends import (
     group_object,
     group_ring_morphism,
     identity_morphism,
+    Morphism,
     kernel_and_image_closure,
     matrix_backend,
     matrix_morphism,
@@ -169,6 +170,26 @@ class TestSubObjects:
         sub = subobject_from_std_frames(obj, [q])
         roundtrip = compose(sub.project(), sub.include())
         assert np.allclose(roundtrip.blocks[0], np.eye(2), atol=1e-12)
+
+
+def test_norm_is_taken_once_and_never_at_construction(monkeypatch, backend, rng):
+    f = random_invertible_morphism(rng, backend, 3)
+    want = float(max(np.linalg.svd(b, compute_uv=False).max() for b in f.blocks))
+    calls = []
+    real = np.linalg.norm
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    m = Morphism(f.source, f.target, f.blocks)
+    assert calls == []
+    assert m.norm() == pytest.approx(want, rel=1e-12)
+    first = len(calls)
+    assert first >= 1
+    assert m.norm() == m.norm()
+    assert len(calls) == first
 
 
 class TestValidation:

@@ -1,6 +1,8 @@
 """Hostile inputs: non-finite entries, magnitudes near overflow, empty data.
 
-They must raise a typed ``InputValidationError`` or give the right answer.
+They must raise a typed error (``InputValidationError``, or
+``ShapeMismatchError`` for arrays that do not fit together) or give the
+right answer.
 """
 
 import json
@@ -23,10 +25,11 @@ from l2torsion.backends import (
 )
 from l2torsion.cellular import cochain_complex, cyclic_character_representation, lens_complex
 from l2torsion.cli import EXIT_INVALID, main
-from l2torsion.errors import InputValidationError, NotAChainComplexError
+from l2torsion.errors import InputValidationError, NotAChainComplexError, ShapeMismatchError
 from l2torsion.extcoh import ChainComplexC, cohomology, direct_sum_complexes
 from l2torsion.harness import family_multiplication_map
 from l2torsion.serialize import morphism_to_json
+from l2torsion.spectral import SpectralDensity
 from l2torsion.torsion import cone_torsion_check, torsion, torsion_acyclic
 
 NONFINITE = [math.nan, math.inf, -math.inf]
@@ -179,3 +182,18 @@ def test_empty_family_rejected():
 def test_empty_complex_rejected():
     with pytest.raises(InputValidationError):
         ChainComplexC((), ())
+
+
+@pytest.mark.parametrize("values, masses", [
+    ([0.5], [1.0, 2.0]),
+    ([0.5, 2.0], [1.0]),
+    ([[0.5, 2.0]], [[1.0, 1.0]]),
+    ([0.5, 2.0], [[1.0, 1.0]]),
+    (0.5, 1.0),
+])
+def test_malformed_density_rejected(values, masses):
+    """A density pairs each value with one mass: a surplus mass must not be
+    dropped (and the rest certified), a short or 2-D array must not reach
+    the ladder."""
+    with pytest.raises(ShapeMismatchError):
+        SpectralDensity(np.array(values), np.array(masses), 0.0, 1.0)

@@ -27,6 +27,13 @@ from l2torsion.harness import (
     standard_backends,
 )
 from l2torsion.spectral import (
+    BELOW_FLOOR_SLACK,
+    CONVERGENCE_TOL,
+    DECREMENT_TOL,
+    LADDER_DEPTH,
+    LADDER_WINDOW,
+    SPECTRAL_FLOOR,
+    SpectralDensity,
     classify_determinant,
     fk_det,
     fk_det_extended,
@@ -133,6 +140,94 @@ class TestVerdicts:
         verdict = tau_isomorphism_test(f)
         assert verdict.status == "Convergent"
         assert verdict.injective and verdict.dense_image
+
+
+def _reference_verdict(density):
+    """The certificate with one mask, one log and one dot per partial
+    integral: (status, log_integral, ladder values, below_floor)."""
+    def log_moment_above(sel):
+        with np.errstate(divide="ignore"):
+            return float(np.dot(density.masses[sel], np.log(density.values[sel])))
+
+    v = density.values
+    rungs = [log_moment_above(v > 10.0 ** (-m)) for m in range(1, LADDER_DEPTH + 1)]
+    below = log_moment_above(v <= SPECTRAL_FLOOR)
+    start = LADDER_DEPTH - 1 - LADDER_WINDOW
+    injective = density.zero_mass <= CONVERGENCE_TOL
+    if (abs(rungs[start] - rungs[-1]) <= CONVERGENCE_TOL
+            and abs(below) <= CONVERGENCE_TOL and injective):
+        return "Convergent", log_moment_above(v > 0.0), rungs, below
+    heavy_below = (not math.isfinite(below)) or abs(below) > BELOW_FLOOR_SLACK
+    steady = all(rungs[m] - rungs[m + 1] > DECREMENT_TOL
+                 for m in range(start, LADDER_DEPTH - 1))
+    if (steady and heavy_below) or not injective:
+        return "Divergent", -math.inf, rungs, below
+    return "Inconclusive", math.nan, rungs, below
+
+
+def _agree(got, ref) -> bool:
+    if not math.isfinite(ref):
+        return got == ref or (math.isnan(got) and math.isnan(ref))
+    return abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def _random_density(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 80))
+    values = 10.0 ** rng.uniform(rng.choice([-16.0, -8.0, -3.0]), 2.0, n)
+    values[rng.random(n) < 0.1] = 10.0 ** -float(rng.integers(1, LADDER_DEPTH + 1))
+    masses = rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.9)
+    return SpectralDensity(values, masses, float(rng.random() < 0.1), 10.0)
+
+
+LADDER_EDGE_DENSITIES = {
+    "empty": ([], []),
+    "single": ([0.3], [1.0]),
+    "on_rungs": ([1e-1, 1e-3, 1e-5, 1e-8, 1e-12, 0.5], [1.0, 2.0, 0.5, 1.0, 1.0, 1.0]),
+    "at_and_below_floor": ([SPECTRAL_FLOOR, 1e-13, 1e-320, 0.0, 0.7], [1.0] * 5),
+    "subnormal_only": ([1e-320], [1.0]),
+    "at_least_one": ([1.0, 5.0, 1e6, 0.2], [1.0, 0.5, 2.0, 1.0]),
+    "zero_masses": ([1e-9, 1e-4, 0.5, 3.0], [0.0, 1.0, 0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize(
+    "density",
+    [SpectralDensity(np.array(v, float), np.array(w, float), 0.0, float(sum(w)))
+     for v, w in LADDER_EDGE_DENSITIES.values()]
+    + [_random_density(seed) for seed in range(24)],
+    ids=list(LADDER_EDGE_DENSITIES) + [f"seed{seed}" for seed in range(24)],
+)
+def test_ladder_matches_per_rung_integrals(density):
+    status, log_integral, rungs, below = _reference_verdict(density)
+    verdict = classify_determinant(density)
+    assert verdict.status == status
+    assert _agree(verdict.log_integral, log_integral)
+    assert _agree(verdict.below_floor, below)
+    assert [eps for eps, _ in verdict.ladder] == [10.0 ** (-m) for m in range(1, LADDER_DEPTH + 1)]
+    got = [value for _, value in verdict.ladder]
+    assert all(_agree(g, r) for g, r in zip(got, rungs, strict=True))
+    assert all(a >= b for a, b in zip(got, got[1:]))
+
+
+@pytest.mark.parametrize("values", [[0.5, 2.0], [1e-13, 1e-6, 0.5, 2.0]])
+def test_ladder_takes_one_log_in_one_errstate(monkeypatch, values):
+    density = SpectralDensity(np.array(values), np.ones(len(values)), 0.0, len(values))
+    calls = {"log": 0, "errstate": 0}
+    real_log, real_errstate = np.log, np.errstate
+
+    def log(*args, **kwargs):
+        calls["log"] += 1
+        return real_log(*args, **kwargs)
+
+    def errstate(**kwargs):
+        calls["errstate"] += 1
+        return real_errstate(**kwargs)
+
+    monkeypatch.setattr(np, "log", log)
+    monkeypatch.setattr(np, "errstate", errstate)
+    classify_determinant(density)
+    assert calls == {"log": 1, "errstate": 1}
 
 
 class TestNSExponent:
