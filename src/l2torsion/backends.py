@@ -937,14 +937,13 @@ def subobject_from_std_frames(obj: HObject, std_frames) -> SubObject:
     return SubObject(obj, std_frames)
 
 
-def orthocomplement(sub: SubObject) -> SubObject:
-    obj = sub.ambient
-    factors = obj.factors()
+def complement(frames: Fibers) -> Fibers:
+    """Orthonormal frames of the orthocomplement of the span of orthonormal
+    ``frames``, fiberwise in standardized coordinates: one QR per shape
+    group whose width lies strictly between 0 and the dimension."""
     groups = []
-    for idx, v in sub.frames.groups:
+    for idx, v in frames.groups:
         k, d, width = v.shape
-        if factors is not None:  # orthonormal in std coords
-            v = factors[0].take(idx) @ v
         if width == 0:
             comp = _eye_stack(k, d)
         elif width >= d:
@@ -954,7 +953,14 @@ def orthocomplement(sub: SubObject) -> SubObject:
             q, _ = np.linalg.qr(np.concatenate([v, _eye_stack(k, d)], axis=2))
             comp = q[:, :, width:d]
         groups.append((idx, comp))
-    return subobject_from_std_frames(obj, Fibers(groups, sub.frames.n))
+    return Fibers(groups, frames.n)
+
+
+def orthocomplement(sub: SubObject) -> SubObject:
+    frames, factors = sub.frames, sub.ambient.factors()
+    if factors is not None:  # orthonormal in std coords
+        frames = Fibers([(idx, factors[0].take(idx) @ v) for idx, v in frames.groups], frames.n)
+    return subobject_from_std_frames(sub.ambient, complement(frames))
 
 
 @dataclass
@@ -993,6 +999,12 @@ class FiberSVD:
     def cokernel(self) -> Fibers:
         """Trailing columns of U: the orthocomplement of the image."""
         return self.pick(lambda u, s, vh, r: u[:, :, r:])
+
+    def log_det(self, weights: np.ndarray) -> float:
+        """Trace-weighted sum of the logs of the kept values: the log
+        Fuglede-Kadison determinant of the map off its kernel."""
+        kept = self.kept()
+        return float(np.dot(weights[kept.fiber], np.log(kept.values)))
 
     def kept(self) -> FiberValues:
         """The kept singular values, flat with their fibers."""
@@ -1071,7 +1083,7 @@ def fiber_svds(
 
 
 def kernel_and_image_closure(
-    f: Morphism, tol: float = DEFAULT_RANK_TOL, scale=0.0, svd: FiberSVD | None = None
+    f: Morphism, tol: float = DEFAULT_RANK_TOL, svd: FiberSVD | None = None
 ):
     """Orthonormal frames for ker f and cl(im f), fiberwise, with the rank
     decision of :func:`fiber_svds` (``svd``, when the caller has already
@@ -1080,6 +1092,6 @@ def kernel_and_image_closure(
     Returns (kernel SubObject, image-closure SubObject).
     """
     if svd is None:
-        svd = fiber_svds(f, tol, scale)
+        svd = fiber_svds(f, tol)
     return (subobject_from_std_frames(f.source, svd.kernel()),
             subobject_from_std_frames(f.target, svd.image()))

@@ -49,8 +49,7 @@ from .backends import (
 from .detline import (
     DetLineElement,
     Frame,
-    exact_sequence_iso,
-    rebase_products,
+    check_exactness,
 )
 from .errors import (
     InconclusiveVerdictError,
@@ -58,6 +57,7 @@ from .errors import (
     NoCanonicalElementError,
     NotAChainComplexError,
     NotAnIsomorphismError,
+    NotExactError,
     ShapeMismatchError,
 )
 from .spectral import (
@@ -399,28 +399,27 @@ def extended_pushforward(
 ) -> DetLineElement:
     """Push an element of det(X) to det(Y) along an extended-category iso [f].
 
-    The mapping sequence A' -> B'(+)A -> B must be exact (that is what makes
-    [f] invertible); the determinant line map is then computed from the
-    exact-sequence isomorphism det(B'(+)A) = det(A') (x) det(B), rebased to
-    the native frames. The result depends only on the class [f]: changing f
+    The mapping sequence A' --g--> B'(+)A --h--> B must be exact (that is
+    what makes [f] invertible); the determinant line map is then the
+    exact-sequence isomorphism det(B'(+)A) = det(A') (x) det(B) in the
+    native frames, which scales by the Fuglede-Kadison determinants of the
+    two maps: gen(B')gen(A) = exp(log Det h - log Det g) gen(A')gen(B).
+    Both determinants and the exactness ranks are read off one values-only
+    SVD of each map. The result depends only on the class [f]: changing f
     by beta composed with anything leaves it unchanged.
     """
     check_extended_morphism(x, y, f, fprime)
     g, h = _graph_map(x, y, f, fprime)
+    g_svd = fiber_svds(g, tol, vectors=False)
+    h_svd = fiber_svds(h, tol, vectors=False)
     try:
-        mid = g.target
-        start = DetLineElement(((Frame(mid, "__mid__"), 1),), 0.0)
-        split = exact_sequence_iso(
-            g, h, start, total_label="__mid__", sub_label="__sub__",
-            quot_label="__quot__", tol=tol,
-        )
-    except Exception as exc:  # noqa: BLE001 - re-raised with context
+        check_exactness(g, h, tol, g_svd, h_svd)
+    except NotExactError as exc:
         raise NotAnIsomorphismError(
             f"mapping sequence of [f] is not exact: {exc}"
         ) from exc
-    split = rebase_products(split, "__sub__", x.source)
-    split = rebase_products(split, "__quot__", y.target)
-    log_factor = split.log_coeff  # gen(B')gen(A) = exp(log_factor) gen(A')gen(B)
+    w = g.backend.fiber_weights
+    log_factor = h_svd.log_det(w) - g_svd.log_det(w)
 
     word = []
     log_coeff = element.log_coeff + log_factor

@@ -23,7 +23,7 @@ from .backends import (
     Morphism,
     fiber_svds,
 )
-from .errors import NotSelfAdjointError, ShapeMismatchError
+from .errors import InputValidationError, NotSelfAdjointError, ShapeMismatchError
 
 SPECTRAL_FLOOR = 1e-12
 LADDER_DEPTH = 12
@@ -52,7 +52,9 @@ class SpectralDensity:
     ``values`` are the strictly positive spectral points (ascending) and
     ``masses`` their trace weights; ``zero_mass`` is the weight of the
     kernel part, decided fiberwise by a relative tolerance. ``total_mass``
-    equals the trace-dimension of the underlying object.
+    equals the trace-dimension of the underlying object. Exact-zero values
+    and zero masses are accepted; negative or non-finite ones raise
+    :class:`InputValidationError`.
     """
 
     values: np.ndarray
@@ -70,6 +72,10 @@ class SpectralDensity:
             )
         order = np.argsort(values)
         self.values, self.masses = values[order], masses[order]
+        # NaN sorts last and -inf first; a NaN mass fails both comparisons
+        if len(values) and not (self.values[0] >= 0.0 and self.values[-1] < math.inf
+                                and masses.min() >= 0.0 and masses.max() < math.inf):
+            raise InputValidationError("density values and masses must be finite and >= 0")
 
     def cumulative(self, lam: float) -> float:
         """phi(lam): total mass of spectrum in [0, lam]."""

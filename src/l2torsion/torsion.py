@@ -31,14 +31,12 @@ from .backends import (
     add,
     align,
     block_matrix,
+    complement,
     compose,
     direct_sum_objects,
     fiber_svds,
-    full_subobject,
-    hermitian,
     identity_morphism,
     largest_block_norm,
-    orthocomplement,
     partition,
     scale_morphism,
     subobject_from_std_frames,
@@ -48,8 +46,6 @@ from .detline import (
     DetLineElement,
     Frame,
     check_exactness,
-    induced_quotient_object,
-    induced_sub_object,
     orthogonal_section,
 )
 from .errors import (
@@ -77,24 +73,12 @@ def complex_det_element(
     return DetLineElement(tuple(word), log_coeff)
 
 
-def _sub_within(outer: SubObject, inner: SubObject) -> SubObject:
-    """Orthocomplement of ``inner`` inside ``outer`` (inner must sit in outer)."""
-    p = outer.ambient.gram
-    coords = [
-        (idx, hermitian(v) @ (w if p is None else p.take(idx) @ w))
-        for idx, (v, w) in align(outer.frames, inner.frames)
-    ]
-    n = outer.frames.n
-    comp = orthocomplement(SubObject(outer.space, Fibers(coords, n)))
-    frames = [(idx, v @ u) for idx, (v, u) in align(outer.frames, comp.frames)]
-    return SubObject(outer.ambient, Fibers(frames, n))
-
-
-def _zero_sub(obj: HObject) -> SubObject:
-    return SubObject(obj, Fibers(
+def _no_columns(obj: HObject) -> Fibers:
+    """Frames of the zero subspace of obj, in standardized coordinates."""
+    return Fibers(
         [(idx, np.zeros((len(idx), d, 0), complex)) for idx, d in obj.dim_groups()],
         len(obj.dims),
-    ))
+    )
 
 
 @dataclass
@@ -109,7 +93,10 @@ class HodgeSplit:
     W^i -> cl(im d_i) is diag(s[:r]): column j of ``coexact[i]`` on fiber f
     goes to the j-th kept value of d_i on fiber f times column j of
     ``boundaries[i + 1]``. The nonzero Laplacian eigenvalues of the complex
-    are the squares of the kept values.
+    are the squares of the kept values. The harmonic part is what is left:
+    Harm^i = (B^i (+) W^i)^perp with B^i = cl(im d_{i-1}), the complement
+    of the two frames side by side in standardized coordinates (one QR per
+    shape group whose width lies strictly between 0 and the dimension).
 
     The frames are :class:`Fibers` shape groups, so fibers of different
     rank sit in different groups. ``singular[i]`` keeps the kept values of
@@ -155,18 +142,20 @@ class HodgeSplit:
 def hodge_split(c: ChainComplexC, tol: float = DEFAULT_RANK_TOL) -> HodgeSplit:
     split = HodgeSplit([], [], [], [], [], c.backend.fiber_weights, tol)
     scale = c.fiber_scales()
-    split.boundaries.append(_zero_sub(c.objects[0]))
+    # standardized frames of B^i = cl(im d_{i-1}) and of W^i; B^0 and the
+    # last W are empty
+    images, coimages = [_no_columns(c.objects[0])], []
     for i, d in enumerate(c.diffs):
         svd = fiber_svds(d, tol, scale)
-        kernel = subobject_from_std_frames(d.source, svd.kernel())
-        split.harmonic.append(_sub_within(kernel, split.boundaries[i]))
-        split.coexact.append(subobject_from_std_frames(d.source, svd.coimage()))
-        split.boundaries.append(subobject_from_std_frames(d.target, svd.image()))
+        images.append(svd.image())
+        coimages.append(svd.coimage())
         split.singular.append(svd.kept())
         split.verdicts.append(classify_determinant(split.density(i)))
-    last = c.objects[-1]
-    split.harmonic.append(_sub_within(full_subobject(last), split.boundaries[-1]))
-    split.coexact.append(_zero_sub(last))
+    coimages.append(_no_columns(c.objects[-1]))
+    for obj, b, w in zip(c.objects, images, coimages):
+        split.boundaries.append(subobject_from_std_frames(obj, b))
+        split.coexact.append(subobject_from_std_frames(obj, w))
+        split.harmonic.append(subobject_from_std_frames(obj, complement(_hstack(b, w))))
     return split
 
 
@@ -234,7 +223,6 @@ def _rebased_log_coeff(sigma: DetLineElement, c: ChainComplexC) -> float:
 def nu_map(
     c: ChainComplexC,
     sigma: DetLineElement | None = None,
-    out_prefix: str = "H",
     tol: float = DEFAULT_RANK_TOL,
 ) -> DetLineElement:
     """Canonical isomorphism nu: det(C) -> det(extended cohomology of C).
@@ -252,8 +240,8 @@ def nu_map(
         sigma = complex_det_element(c)
     split = hodge_split(c, tol)
     log_coeff = _rebased_log_coeff(sigma, c)
-    folded, unfolded = _fold(split, split.singular, out_prefix)
-    word = _harmonic_word(split, out_prefix) + unfolded
+    folded, unfolded = _fold(split, split.singular, "H")
+    word = _harmonic_word(split, "H") + unfolded
     return DetLineElement(tuple(word), log_coeff + folded)
 
 
@@ -603,56 +591,46 @@ def les_connecting_iso(
     The induced maps on harmonic spaces (orthogonal projections of alpha,
     beta, and of the zig-zag pullback alpha^+ d beta^+) assemble into one
     acyclic complex; its torsion, together with the degreewise
-    identification of det M^i with det L^i (x) det N^i (alpha and beta are
-    not isometric, so each degree contributes the determinant of the induced
-    products), gives the coefficient relating det H(L) (x) det H(N) to
-    det H(M) in harmonic frames.
+    identification of det M^i with det L^i (x) det N^i, gives the
+    coefficient relating det H(L) (x) det H(N) to det H(M) in harmonic
+    frames. alpha and beta are not isometric, so that identification
+    scales by their Fuglede-Kadison determinants: degree i contributes
+    (-1)^i (log Det alpha_i - log Det beta_i), read off the kept singular
+    values of the SVDs that also give the exactness ranks and the sections.
     """
     n = M.length
     if L.length != n or N.length != n:
         raise InputValidationError("the three complexes must share their length")
     _is_chain_map(alpha, L, M)
     _is_chain_map(beta, M, N)
-    # each map is decomposed once: the exactness check reads the ranks off
-    # the same SVDs that give the sections
+    # each map is decomposed once: the exactness check, the sections and the
+    # base change all read the same SVDs
     svds = [(fiber_svds(a, tol), fiber_svds(b, tol)) for a, b in zip(alpha, beta)]
     for a, b, (sa, sb) in zip(alpha, beta, svds):
         check_exactness(a, b, tol, sa, sb)
 
-    hl = hodge_split(L, tol).harmonic
-    hm = hodge_split(M, tol).harmonic
-    hn = hodge_split(N, tol).harmonic
+    hl, hm, hn = (hodge_split(c, tol).harmonic for c in (L, M, N))
 
     alpha_pinv = [orthogonal_section(a, tol, sa) for a, (sa, _) in zip(alpha, svds)]
-    quotients = [induced_quotient_object(b, tol, sb) for b, (_, sb) in zip(beta, svds)]
-    beta_sec = [section for _, section in quotients]
+    beta_sec = [orthogonal_section(b, tol, sb) for b, (_, sb) in zip(beta, svds)]
 
-    objects, diffs = [], []
+    objects = tuple(h[i].space for i in range(n) for h in (hl, hm, hn))
+    diffs = []
     for i in range(n):
-        objects.extend([hl[i].space, hm[i].space, hn[i].space])
-    for i in range(n):
-        a_i = hm[i].compress(alpha[i], hl[i])
-        b_i = hn[i].compress(beta[i], hm[i])
-        diffs.append(a_i)
-        diffs.append(b_i)
+        diffs += [hm[i].compress(alpha[i], hl[i]), hn[i].compress(beta[i], hm[i])]
         if i < n - 1:
             zig = compose(alpha_pinv[i + 1], compose(M.diffs[i], beta_sec[i]))
             diffs.append(hl[i + 1].compress(zig, hn[i]))
-    les = ChainComplexC(tuple(objects), tuple(diffs))
+    les = ChainComplexC(objects, tuple(diffs))
     rho = nu_map(les, tol=tol)
     if rho.word:
         raise NotAcyclicError(
             "long exact sequence complex is not acyclic; the input sequence "
             "is not exact within tolerance"
         )
-    base_change = 0.0
-    for i in range(n):
-        sub = induced_sub_object(alpha[i])
-        quot = quotients[i][0]
-        base_change += (-1) ** i * 0.5 * (
-            (sub.log_det_product() - L.objects[i].log_det_product())
-            + (quot.log_det_product() - N.objects[i].log_det_product())
-        )
+    w = M.backend.fiber_weights
+    base_change = sum((-1) ** i * (sa.log_det(w) - sb.log_det(w))
+                      for i, (sa, sb) in enumerate(svds))
     return LesIsomorphism(rho.log_coeff + base_change, hm)
 
 
@@ -691,6 +669,10 @@ def _cone_sequence(c: ChainComplexC, ctilde: ChainComplexC, f_list) -> tuple:
     return ChainComplexC(objects, diffs), inclusions, projections, sub, quot
 
 
+# largest deviation of the two log coefficients at which the cone check passes
+CONE_AGREE_TOL = 1e-6
+
+
 @dataclass
 class ConeCheckReport:
     passed: bool
@@ -705,14 +687,14 @@ def cone_torsion_check(
     ctilde: ChainComplexC,
     f_list,
     tol: float = DEFAULT_RANK_TOL,
-    agree_tol: float = 1e-6,
 ) -> ConeCheckReport:
     """Verify the cone torsion identity rho_cone = delta(rho_sub (x) rho_quot).
 
     The cone sits in the sequence 0 -> C~[1] -> Cone -> C(-d) -> 0; both
     sides are computed through the full pipeline and compared in log scale
     (harmonic frames on both sides are orthonormal over the same spaces, so
-    comparing coefficients is comparing elements).
+    comparing coefficients is comparing elements); the check passes when
+    they differ by at most ``CONE_AGREE_TOL``.
     """
     cone, inclusions, projections, sub, quot = _cone_sequence(c, ctilde, f_list)
     rho_cone = torsion(cone, tol=tol)
@@ -724,7 +706,7 @@ def cone_torsion_check(
     log_rhs = rho_cone.combined.log_coeff
     dev = abs(log_lhs - log_rhs)
     return ConeCheckReport(
-        passed=bool(dev <= agree_tol),
+        passed=bool(dev <= CONE_AGREE_TOL),
         log_lhs=log_lhs,
         log_rhs=log_rhs,
         deviation=dev,

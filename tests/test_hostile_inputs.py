@@ -197,3 +197,23 @@ def test_malformed_density_rejected(values, masses):
     the ladder."""
     with pytest.raises(ShapeMismatchError):
         SpectralDensity(np.array(values), np.array(masses), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("values, masses", [
+    ([0.5, 2.0], [-1.0, 1.0]),
+    ([-1.0, 2.0], [1.0, 1.0]),
+    ([-math.inf, 2.0], [1.0, 1.0]),
+    ([math.nan, 2.0], [1.0, 1.0]),
+    ([0.5, math.inf], [1.0, 1.0]),
+    ([0.5, 2.0], [math.nan, 1.0]),
+    ([0.5, 2.0], [1.0, math.inf]),
+    ([0.5, 2.0], [1.0, -math.inf]),
+])
+def test_hostile_density_rejected(values, masses):
+    """A negative mass would flip the sign of its log term (and a mass of -1
+    at 0.5 certifies Convergent with log integral +1.386); a negative value
+    would give a NaN ladder. Neither may reach the certificate. (Exact-zero
+    values and zero masses stay valid: ``test_spectral.LADDER_EDGE_DENSITIES``
+    pins them.)"""
+    with pytest.raises(InputValidationError):
+        SpectralDensity(np.array(values), np.array(masses), 0.0, 2.0)
