@@ -216,6 +216,8 @@ def classify_determinant(density: SpectralDensity) -> DetClassVerdict:
     contribution gives Divergent; anything in between stays Inconclusive.
     """
     values = density.values
+    if not len(values):
+        return empty_verdict(density.zero_mass)
     with np.errstate(divide="ignore"):
         terms = density.masses * np.log(values)
     tails = np.zeros(len(values) + 1)
@@ -247,6 +249,13 @@ def classify_determinant(density: SpectralDensity) -> DetClassVerdict:
     return DetClassVerdict(
         "Inconclusive", math.nan, ladder, below, density.zero_mass
     )
+
+
+def empty_verdict(zero_mass: float) -> DetClassVerdict:
+    """:func:`classify_determinant` of a density with no values."""
+    ok = zero_mass <= CONVERGENCE_TOL
+    return DetClassVerdict("Convergent" if ok else "Divergent", 0.0 if ok else -math.inf,
+                           [(eps, 0.0) for eps in LADDER_EPS], 0.0, zero_mass, injective=ok)
 
 
 def fk_det_extended(f: Morphism, tol: float = DEFAULT_RANK_TOL):

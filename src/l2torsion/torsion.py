@@ -35,6 +35,7 @@ from .backends import (
     compose,
     direct_sum_objects,
     fiber_svds,
+    hermitian,
     identity_morphism,
     largest_block_norm,
     partition,
@@ -58,6 +59,7 @@ from .extcoh import ChainComplexC
 from .spectral import (
     SpectralDensity,
     classify_determinant,
+    empty_verdict,
     singular_density,
 )
 
@@ -125,8 +127,7 @@ class HodgeSplit:
         """Determinant-class verdict of each degree: degree i certifies the
         restricted d_{i-1}, and degree 0, with no incoming differential,
         gets the verdict of an empty density."""
-        empty = SpectralDensity(np.zeros(0), np.zeros(0), 0.0, 0.0)
-        return [classify_determinant(empty)] + self.verdicts
+        return [empty_verdict(0.0)] + self.verdicts
 
     def betti(self, values: list) -> list:
         """Trace-Betti numbers when ``values[i]`` are the singular values of
@@ -155,7 +156,8 @@ def hodge_split(c: ChainComplexC, tol: float = DEFAULT_RANK_TOL) -> HodgeSplit:
     for obj, b, w in zip(c.objects, images, coimages):
         split.boundaries.append(subobject_from_std_frames(obj, b))
         split.coexact.append(subobject_from_std_frames(obj, w))
-        split.harmonic.append(subobject_from_std_frames(obj, complement(_hstack(b, w))))
+        both = Fibers([(idx, np.concatenate(st, axis=2)) for idx, st in align(b, w)], b.n)
+        split.harmonic.append(subobject_from_std_frames(obj, complement(both)))
     return split
 
 
@@ -360,26 +362,6 @@ def default_epsilon(c: ChainComplexC, tol: float = DEFAULT_RANK_TOL) -> float | 
     return _epsilon(hodge_split(c, tol))
 
 
-def _columns(frames: Fibers, lo: np.ndarray, hi: np.ndarray) -> Fibers:
-    """Per fiber f, the columns lo[f]:hi[f] of frames[f]."""
-    if frames.n == 1:
-        idx, v = frames.groups[0]
-        return Fibers([(idx, v[:, :, int(lo[0]):int(hi[0])])], 1)
-    groups = []
-    for idx, v in frames.groups:
-        for sel, key in partition(lo[idx] * (v.shape[2] + 1) + hi[idx]):
-            a, b = divmod(int(key), v.shape[2] + 1)
-            sub = idx if len(sel) == len(idx) else idx[sel]
-            groups.append((sub, (v if len(sel) == len(idx) else v[sel])[:, :, a:b]))
-    return Fibers(groups, frames.n)
-
-
-def _hstack(*parts: Fibers) -> Fibers:
-    return Fibers(
-        [(idx, np.concatenate(st, axis=2)) for idx, st in align(*parts)], parts[0].n
-    )
-
-
 def _split_parts(c: ChainComplexC, split: HodgeSplit, low: list):
     """The two subcomplexes of the Hodge split for the masks ``low[i]``
     over the singular values of d_i (True for the part at or below epsilon).
@@ -389,32 +371,49 @@ def _split_parts(c: ChainComplexC, split: HodgeSplit, low: list):
     Each mask must be a cut on the values (as s^2 <= epsilon is), so that
     in each fiber it selects trailing columns: the large side is then a
     leading block of columns of every frame.
+
+    The fibers are grouped once, by the widths of every Hodge frame and by
+    every cut. Within a group every frame of both parts is a plain slice of
+    the Hodge frames, and every compressed differential one batched product.
     """
     n = c.backend.n_fibers
     none = np.zeros(n, int)
     # large[i] counts, per fiber, the leading columns of boundaries[i]
     # (values of d_{i-1}) and large[i + 1] those of coexact[i] (values of d_i)
     large = [none] + [v.select(~m).counts(n) for v, m in zip(split.singular, low)] + [none]
-
-    def part(i, small):
-        b, w = split.boundaries[i].frames, split.coexact[i].frames
-        if small:
-            frames = _hstack(split.harmonic[i].frames,
-                             _columns(b, large[i], b.sizes(1)),
-                             _columns(w, large[i + 1], w.sizes(1)))
-        else:
-            frames = _hstack(_columns(b, none, large[i]), _columns(w, none, large[i + 1]))
-        return SubObject(c.objects[i], frames)
-
+    hodge = [(h.frames, b.frames, w.frames)
+             for h, b, w in zip(split.harmonic, split.boundaries, split.coexact)]
+    # one mixed-radix key over every width (one fiber needs none), below
+    # ``bound`` and renumbered densely before it could overflow
+    key, bound = none, 1
+    for width in ([x.sizes(1) for fr in hodge for x in fr] + large[1:-1] if n > 1 else ()):
+        radix = int(width.max()) + 1
+        if bound * radix > 1 << 62:
+            key = np.unique(key, return_inverse=True)[1]
+            bound = int(key.max()) + 1
+        key, bound = key * radix + width, bound * radix
+    groups = [idx for idx, _ in partition(key)]
+    # per part (small, then large) and degree, one stack per group of the
+    # frames and of the compressed differentials
+    frames, blocks = ([[[] for _ in xs] for _ in range(2)] for xs in (hodge, c.diffs))
+    for idx in groups:
+        for i, ((h, b, w), lb, lw) in enumerate(zip(hodge, large, large[1:])):
+            hv, bv, wv, kb, kw = h.take(idx), b.take(idx), w.take(idx), lb[idx[0]], lw[idx[0]]
+            frames[0][i].append(np.concatenate([hv, bv[:, :, kb:], wv[:, :, kw:]], axis=2))
+            frames[1][i].append(np.concatenate([bv[:, :, :kb], wv[:, :, :kw]], axis=2))
+        for i, d in enumerate(c.diffs):
+            db, p = d.blocks.take(idx), c.objects[i + 1].gram
+            for fr, bl in zip(frames, blocks):
+                v = hermitian(fr[i + 1][-1])
+                bl[i].append((v if p is None else v @ p.take(idx)) @ (db @ fr[i][-1]))
     norm = max((d.norm() for d in c.diffs), default=0.0)
-
-    def build(subs):
-        diffs = tuple(subs[i + 1].compress(d, subs[i]) for i, d in enumerate(c.diffs))
-        return ChainComplexC(tuple(s.space for s in subs), diffs, check_norm=norm)
-
-    small_subs = [part(i, True) for i in range(c.length)]
-    large_subs = [part(i, False) for i in range(c.length)]
-    return build(small_subs), build(large_subs), small_subs, large_subs
+    out = []
+    for fr, bl in zip(frames, blocks):
+        subs = [SubObject(obj, Fibers(list(zip(groups, g)), n)) for obj, g in zip(c.objects, fr)]
+        diffs = tuple(Morphism(s.space, t.space, Fibers(list(zip(groups, g)), n))
+                      for s, t, g in zip(subs, subs[1:], bl))
+        out += [ChainComplexC(tuple(s.space for s in subs), diffs, check_norm=norm), subs]
+    return out[0], out[2], out[1], out[3]
 
 
 def split_complex(c: ChainComplexC, eps: float, tol: float = DEFAULT_RANK_TOL):
@@ -482,11 +481,15 @@ def torsion(
     trivial: zero trace-Betti numbers and a Convergent certificate in every
     degree.
     """
-    if sigma is None:
-        sigma = complex_det_element(c)
     if epsilon is not None and not epsilon > 0.0:
         raise InputValidationError("epsilon must be positive")
-    split = hodge_split(c, tol)
+    return _torsion(c, hodge_split(c, tol), sigma, epsilon, tol, out_prefix)
+
+
+def _torsion(c, split, sigma, epsilon, tol, out_prefix) -> TorsionReport:
+    """The body of :func:`torsion`, on the Hodge split of c already taken."""
+    if sigma is None:
+        sigma = complex_det_element(c)
     log_coeff = _rebased_log_coeff(sigma, c)
     if epsilon is None:
         epsilon = _epsilon(split)
@@ -598,6 +601,12 @@ def les_connecting_iso(
     (-1)^i (log Det alpha_i - log Det beta_i), read off the kept singular
     values of the SVDs that also give the exactness ranks and the sections.
     """
+    harmonic = [hodge_split(x, tol).harmonic for x in (L, M, N)]
+    return _les_connecting_iso(L, M, N, alpha, beta, tol, harmonic)
+
+
+def _les_connecting_iso(L, M, N, alpha, beta, tol, harmonic) -> LesIsomorphism:
+    """The body of :func:`les_connecting_iso`, on harmonic frames already taken."""
     n = M.length
     if L.length != n or N.length != n:
         raise InputValidationError("the three complexes must share their length")
@@ -609,7 +618,7 @@ def les_connecting_iso(
     for a, b, (sa, sb) in zip(alpha, beta, svds):
         check_exactness(a, b, tol, sa, sb)
 
-    hl, hm, hn = (hodge_split(c, tol).harmonic for c in (L, M, N))
+    hl, hm, hn = harmonic
 
     alpha_pinv = [orthogonal_section(a, tol, sa) for a, (sa, _) in zip(alpha, svds)]
     beta_sec = [orthogonal_section(b, tol, sb) for b, (_, sb) in zip(beta, svds)]
@@ -697,10 +706,11 @@ def cone_torsion_check(
     they differ by at most ``CONE_AGREE_TOL``.
     """
     cone, inclusions, projections, sub, quot = _cone_sequence(c, ctilde, f_list)
-    rho_cone = torsion(cone, tol=tol)
-    rho_sub = torsion(sub, tol=tol, out_prefix="HL")
-    rho_quot = torsion(quot, tol=tol, out_prefix="HN")
-    delta = les_connecting_iso(sub, cone, quot, inclusions, projections, tol)
+    splits = [hodge_split(x, tol) for x in (sub, cone, quot)]  # one split per complex
+    rho_sub, rho_cone, rho_quot = (_torsion(x, split, None, None, tol, prefix) for x, split, prefix
+                                   in zip((sub, cone, quot), splits, ("HL", "H", "HN")))
+    delta = _les_connecting_iso(sub, cone, quot, inclusions, projections, tol,
+                                [split.harmonic for split in splits])
     lhs = delta.apply(rho_sub.combined.tensor(rho_quot.combined))
     log_lhs = lhs.log_coeff
     log_rhs = rho_cone.combined.log_coeff

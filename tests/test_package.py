@@ -54,3 +54,16 @@ def test_benchmark_tracer_installs():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_benchmark_family_grid_meets_its_oracles():
+    """One second of the family_grid benchmark: every op meets its oracle."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "benchmark", "run.py"),
+         "--workload", "family_grid", "--seconds", "1", "--trace", "0"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    last = json.loads(done.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0, last

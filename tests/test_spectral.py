@@ -258,3 +258,24 @@ def test_det_scalar_law(lam):
     obj = matrix_object(matrix_backend(), 3)
     f = scalar_morphism(obj, lam)
     assert log_fk_det(f) == pytest.approx(3 * math.log(lam), abs=1e-10)
+
+
+@pytest.mark.parametrize("zero_mass", [0.0, 1e-300, 0.5])
+def test_empty_density_verdict_is_the_full_one(monkeypatch, zero_mass):
+    """A density without values gets a constant verdict, with no log taken;
+    field by field it is the verdict of the full computation, run here on
+    the same density with one point of mass 0 added, and it agrees with the
+    per-rung reference."""
+    point = SpectralDensity(np.ones(1), np.zeros(1), zero_mass, zero_mass)
+    full = classify_determinant(point)
+    logs = []
+    real_log = np.log
+    monkeypatch.setattr(np, "log", lambda *a, **k: logs.append(1) or real_log(*a, **k))
+    empty = classify_determinant(SpectralDensity(np.zeros(0), np.zeros(0), zero_mass, zero_mass))
+    assert not logs
+    assert empty == full
+    assert [type(x) for x in (empty.log_integral, empty.below_floor)] == [float, float]
+    status, log_integral, rungs, below = _reference_verdict(point)
+    assert (empty.status, empty.log_integral, empty.below_floor) == (status, log_integral, below)
+    assert [value for _, value in empty.ladder] == rungs
+    assert empty.injective == (zero_mass <= CONVERGENCE_TOL)

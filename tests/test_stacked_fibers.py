@@ -6,6 +6,7 @@ per-fiber answer on ragged families, to the symmetries the theory promises,
 and to a number of numpy.linalg calls that does not grow with the grid.
 """
 
+import sys
 from collections import Counter
 
 import numpy as np
@@ -13,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from l2torsion import backends
 from l2torsion.backends import (
     Fibers,
+    SubObject,
     align,
     compose,
     family_backend,
@@ -24,6 +27,7 @@ from l2torsion.backends import (
     matrix_backend,
     matrix_morphism,
     matrix_object,
+    partition,
     uniform_interval_samples,
 )
 from l2torsion.cellular import (
@@ -35,7 +39,13 @@ from l2torsion.cellular import (
 from l2torsion.detline import exact_sequence_iso, standard_element
 from l2torsion.extcoh import ChainComplexC, extended_object, kernel_cokernel_lines
 from l2torsion.harness import random_exact_triple, random_invertible_morphism
-from l2torsion.torsion import hodge_split, les_connecting_iso, torsion
+from l2torsion.torsion import (
+    default_epsilon,
+    hodge_split,
+    les_connecting_iso,
+    split_complex,
+    torsion,
+)
 
 
 def _unitary(rng, n):
@@ -175,6 +185,37 @@ def test_linalg_calls_do_not_grow_with_the_grid(linalg_calls):
     assert counts[0] == counts[1]
 
 
+def test_partition_calls_do_not_grow_with_the_grid(monkeypatch):
+    """torsion() of the circle groups its fibers as often at grid 64 as at
+    grid 1024, and the epsilon split groups them exactly once."""
+    torsion_module = sys.modules["l2torsion.torsion"]
+    calls = Counter()
+    real_partition, real_split = backends.partition, torsion_module._split_parts
+
+    def counted(keys):
+        calls["partition"] += 1
+        return real_partition(keys)
+
+    def split_parts(*args):
+        before = calls["partition"]
+        out = real_split(*args)
+        calls["in _split_parts"] += calls["partition"] - before
+        return out
+
+    monkeypatch.setattr(backends, "partition", counted)
+    monkeypatch.setattr(torsion_module, "partition", counted)
+    monkeypatch.setattr(torsion_module, "_split_parts", split_parts)
+    circle = re_lift(circle_complex(), {"v": 2, "e": -1})
+    counts = []
+    for grid in (64, 1024):
+        c = cochain_complex(circle, circle_regular_representation(grid))
+        calls.clear()
+        torsion(c)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert counts[1]["in _split_parts"] == 1
+
+
 def test_blocks_read_per_fiber_in_any_grouping():
     """A ragged morphism is stored as several groups, and ``blocks`` still
     reads fiber by fiber; the SVD view iterates fiber by fiber too."""
@@ -264,3 +305,112 @@ def test_kernel_cokernel_lines_decomposes_h_once(svd_inputs):
     assert lines.kernel.tau_trivial and lines.cokernel.tau_trivial
     assert len(svd_inputs) == len(set(svd_inputs))
     assert [shape for shape, _ in svd_inputs].count((1, 3, 6)) == 1
+
+
+# ---------------------------------------------------------------------------
+# the two parts of the epsilon split, against a per-frame construction
+
+
+def _columns(frames, lo, hi):
+    """Per fiber f, the columns lo[f]:hi[f] of frames[f], regrouped by
+    (lo, hi) within each shape group."""
+    if frames.n == 1:
+        idx, v = frames.groups[0]
+        return Fibers([(idx, v[:, :, int(lo[0]):int(hi[0])])], 1)
+    groups = []
+    for idx, v in frames.groups:
+        for sel, key in partition(lo[idx] * (v.shape[2] + 1) + hi[idx]):
+            a, b = divmod(int(key), v.shape[2] + 1)
+            sub = idx if len(sel) == len(idx) else idx[sel]
+            groups.append((sub, (v if len(sel) == len(idx) else v[sel])[:, :, a:b]))
+    return Fibers(groups, frames.n)
+
+
+def _hstack(*parts):
+    return Fibers(
+        [(idx, np.concatenate(st, axis=2)) for idx, st in align(*parts)], parts[0].n
+    )
+
+
+def _reference_parts(c, split, low):
+    """Frames and compressed differentials of the small and the large part,
+    built frame by frame: columns cut per frame, frames stacked per degree,
+    each differential compressed between the two subobjects."""
+    n = c.backend.n_fibers
+    none = np.zeros(n, int)
+    large = [none] + [v.select(~m).counts(n) for v, m in zip(split.singular, low)] + [none]
+    parts = []
+    for small in (True, False):
+        subs = []
+        for i, obj in enumerate(c.objects):
+            b, w = split.boundaries[i].frames, split.coexact[i].frames
+            if small:
+                frames = _hstack(split.harmonic[i].frames,
+                                 _columns(b, large[i], b.sizes(1)),
+                                 _columns(w, large[i + 1], w.sizes(1)))
+            else:
+                frames = _hstack(_columns(b, none, large[i]), _columns(w, none, large[i + 1]))
+            subs.append(SubObject(obj, frames))
+        diffs = [subs[i + 1].compress(d, subs[i]) for i, d in enumerate(c.diffs)]
+        parts.append((subs, diffs))
+    return parts
+
+
+def _assert_parts_match(c, eps):
+    small, large, small_subs, large_subs = split_complex(c, eps)
+    split = hodge_split(c)
+    low = [v.values ** 2 <= eps for v in split.singular]
+    reference = _reference_parts(c, split, low)
+    for part, subs, (ref_subs, ref_diffs) in zip(
+        (small, large), (small_subs, large_subs), reference
+    ):
+        for obj, sub, ref in zip(part.objects, subs, ref_subs):
+            assert obj.dims == ref.space.dims == sub.space.dims
+            for f in range(c.backend.n_fibers):
+                assert np.array_equal(sub.frames[f], ref.frames[f])
+        for d, ref in zip(part.diffs, ref_diffs):
+            for f in range(c.backend.n_fibers):
+                assert np.array_equal(d.blocks[f], ref.blocks[f])
+    return small
+
+
+@pytest.mark.parametrize("factor", [1.0, 3.0, 1.0 / 3.0])
+@pytest.mark.parametrize("with_products", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_split_parts_match_the_per_frame_construction(seed, with_products, factor):
+    rng = np.random.default_rng(seed)
+    k = 9
+    dims, diffs = _ragged_fibers(rng, k)
+    products = _products(rng, dims) if with_products else None
+    c = _family_complex(uniform_interval_samples(k), dims, diffs, products)
+    _assert_parts_match(c, default_epsilon(c) * factor)
+
+
+def test_split_parts_group_long_complexes_of_wide_fibers():
+    """Three fibers that differ only in the harmonic width of C^0, the first
+    digit of the grouping key; the later widths of a length-6 complex with
+    fiber dimensions near 300 have radices 2^8 and 2^5 whose product passes
+    2^64, so a key that wrapped around would put all three fibers in one
+    group."""
+    rng = np.random.default_rng(7)
+    ranks = [255, 31, 255, 31, 255]
+    # C^i = H^i (+) W^i (+) B^i, with B^i the image of d_{i-1}
+    harmonic = [[0, 1, 2], [0] * 3, [0] * 3, [0] * 3, [0] * 3, [0] * 3]
+    dims = [np.array([h + a + b for h in hs])
+            for hs, a, b in zip(harmonic, ranks + [0], [0] + ranks)]
+    values = [10.0 ** rng.uniform(-2.0, 2.0, r) for r in ranks]
+    diffs = []
+    for i, r in enumerate(ranks):
+        blocks = []
+        for f in range(3):
+            m, s = int(dims[i + 1][f]), int(dims[i][f])
+            block = np.zeros((m, s), complex)
+            # W^i sits after H^i in C^i, B^{i+1} after H^{i+1} and W^{i+1}
+            row, col = m - r, harmonic[i][f]
+            block[row:, col:col + r] = np.diag(values[i])
+            blocks.append(block)
+        diffs.append(blocks)
+    c = _family_complex(uniform_interval_samples(3), dims, diffs)
+    assert max(max(d) for d in dims) > 280
+    small = _assert_parts_match(c, default_epsilon(c))
+    assert len(set(small.objects[0].dims)) == 3

@@ -243,6 +243,42 @@ class TestCones:
         assert cone_torsion_check(c, ct, random_chain_map(rng, c, ct)).passed
         assert sorted(calls) == ["negate_differentials", "shift"]
 
+    def test_check_splits_each_complex_once(self, rng, monkeypatch):
+        """The cone, C~[1] and C(-d) are split once each, for their torsion
+        and for the connecting isomorphism; only the long exact sequence is
+        split besides. The result equals the one of the public calls."""
+        module = sys.modules["l2torsion.torsion"]
+        calls = []
+        real = module.hodge_split
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "hodge_split", counted)
+        for t in range(20):
+            length = int(rng.integers(2, 4))
+            if t % 2 == 0:
+                c = random_acyclic_complex(rng, length, max_rank=3)
+            else:
+                c = random_complex_with_cohomology(rng, length)
+            ct = random_acyclic_complex(rng, length, max_rank=3)
+            f_list = random_chain_map(rng, c, ct)
+            calls.clear()
+            report = cone_torsion_check(c, ct, f_list)
+            assert len(calls) == 4
+
+            cone, inclusions, projections = mapping_cone(c, ct, f_list)
+            sub = ct.shift()
+            quot = c.negate_differentials().padded(sub.length)
+            rho_sub = torsion(sub, out_prefix="HL").combined
+            rho_quot = torsion(quot, out_prefix="HN").combined
+            delta = les_connecting_iso(sub, cone, quot, inclusions, projections)
+            log_lhs = delta.apply(rho_sub.tensor(rho_quot)).log_coeff
+            log_rhs = torsion(cone).combined.log_coeff
+            assert (report.log_lhs, report.log_rhs) == (log_lhs, log_rhs)
+            assert report.deviation == abs(log_lhs - log_rhs)
+
 
 def test_circle_laplacians_take_no_zero_maps_and_no_eigvalsh(monkeypatch):
     """The Laplacian cross-check of the circle at grid 1024 builds no zero
