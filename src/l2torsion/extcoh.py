@@ -32,6 +32,7 @@ from .backends import (
     add,
     align,
     block_matrix,
+    complement,
     compose,
     direct_sum_morphisms,
     direct_sum_objects,
@@ -41,7 +42,6 @@ from .backends import (
     kernel_and_image_closure,
     largest_block_norm,
     largest_norm,
-    orthocomplement,
     scale_morphism,
     subobject_from_std_frames,
     zero_morphism,
@@ -130,9 +130,10 @@ def extended_object(alpha: Morphism, tol: float = DEFAULT_RANK_TOL) -> ExtendedO
 
 def _extended(alpha: Morphism, svd) -> ExtendedObject:
     """:func:`extended_object` of alpha from its :func:`fiber_svds`."""
-    ker = subobject_from_std_frames(alpha.source, svd.kernel())
+    # not svd.coimage(): an injective alpha keeps identity source coordinates
     coker = subobject_from_std_frames(alpha.target, svd.cokernel())
-    alpha_inj = compose(alpha, orthocomplement(ker).include())
+    source = subobject_from_std_frames(alpha.source, complement(svd.kernel()))
+    alpha_inj = compose(alpha, source.include())
     density = SpectralDensity.from_fibers(svd.kept(), alpha.backend.fiber_weights)
     return ExtendedObject(alpha_inj, coker, density, classify_determinant(density))
 

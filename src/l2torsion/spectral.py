@@ -53,8 +53,8 @@ class SpectralDensity:
     ``masses`` their trace weights; ``zero_mass`` is the weight of the
     kernel part, decided fiberwise by a relative tolerance. ``total_mass``
     equals the trace-dimension of the underlying object. Exact-zero values
-    and zero masses are accepted; negative or non-finite ones raise
-    :class:`InputValidationError`.
+    and zero masses are accepted; negative or non-finite values, masses,
+    ``zero_mass`` or ``total_mass`` raise :class:`InputValidationError`.
     """
 
     values: np.ndarray
@@ -76,6 +76,8 @@ class SpectralDensity:
         if len(values) and not (self.values[0] >= 0.0 and self.values[-1] < math.inf
                                 and masses.min() >= 0.0 and masses.max() < math.inf):
             raise InputValidationError("density values and masses must be finite and >= 0")
+        if not (0.0 <= self.zero_mass < math.inf and 0.0 <= self.total_mass < math.inf):
+            raise InputValidationError("zero_mass and total_mass must be finite and >= 0")
 
     def cumulative(self, lam: float) -> float:
         """phi(lam): total mass of spectrum in [0, lam]."""

@@ -259,29 +259,6 @@ def _check_formulas(via_laplacian: float, via_svd: float) -> float:
     return abs(via_svd - via_laplacian)
 
 
-# binary exponent of a fiber norm beyond which the Laplacian, made of
-# squares of the differentials, may overflow or underflow
-_SQUARE_SAFE_EXP = 256
-
-
-def _square_safe(c: ChainComplexC) -> tuple:
-    """(c', e): c with the differentials of each fiber f whose norm lies
-    outside 2^(+-256) divided by the power of two 2^e[f] that brings that
-    norm into [1, 2); e[f] = 0 on every other fiber. The division is exact,
-    and c' is c itself when no fiber moves."""
-    _, k = np.frexp(c.fiber_scales())
-    e = np.where(np.abs(k) > _SQUARE_SAFE_EXP, k - 1, 0)
-    if not e.any():
-        return c, e
-    unit = np.ldexp(1.0, e)[:, None, None]
-    diffs = tuple(
-        Morphism(d.source, d.target,
-                 Fibers([(idx, b / unit[idx]) for idx, b in d.blocks.groups], d.blocks.n))
-        for d in c.diffs
-    )
-    return ChainComplexC(c.objects, diffs, c.check_norm), e
-
-
 def torsion_acyclic(
     c: ChainComplexC, tol: float = DEFAULT_RANK_TOL, cross_check: bool = True
 ) -> float:
@@ -289,20 +266,25 @@ def torsion_acyclic(
 
     Computed as (1/2) sum_i (-1)^i i log Det(Delta_i) and cross-checked
     against the product of restricted-differential determinants coming out
-    of the nu construction; disagreement beyond 1e-8 raises. Fibers whose
-    Laplacian would leave the float range are rescaled by a power of two
-    2^e first (see :func:`_square_safe`); on an acyclic fiber that moves
-    log Det(Delta_i) by 2 e log 2 per dimension, which is added back.
+    of the nu construction; disagreement beyond 1e-8 raises. In
+    standardized coordinates Delta_i = F_i^* F_i with F_i = [d_i; d_{i-1}^*]
+    stacked, so log Det(Delta_i) is twice the log moment of the singular
+    values of F_i (one values-only SVD per degree; nothing is squared).
+    Values at or below sqrt(tol) times the largest of their fiber count as
+    kernel: the cut tol * (largest eigenvalue) on Delta_i.
     """
-    scaled, e = _square_safe(c)
-    log_units = math.log(2.0) * e * c.backend.fiber_weights
+    std, n = [d.standardized_blocks() for d in c.diffs], c.backend.n_fibers
     total = 0.0
-    for i in range(c.length):
-        density = singular_density(scaled.laplacian(i), tol)
+    for i, obj in enumerate(c.objects):
+        parts = std[i:i + 1] + [b.map(hermitian) for b in std[max(i - 1, 0):i]]
+        # no adjacent differential: F_i has no rows and C^i is all kernel
+        f = (Fibers([(idx, np.concatenate(st, axis=1)) for idx, st in align(*parts)], n)
+             if parts else _no_columns(obj).map(hermitian))
+        factor = Morphism(HObject(c.backend, obj.dim_array), HObject(c.backend, f.sizes(0)), f)
+        density = singular_density(factor, math.sqrt(tol))
         if density.zero_mass > 1e-8:
             raise NotAcyclicError(f"Laplacian in degree {i} has a kernel")
-        log_det = density.log_moment() + 2.0 * float(log_units @ c.objects[i].dim_array)
-        total += 0.5 * (-1) ** i * i * log_det
+        total += (-1) ** i * i * density.log_moment()
     if cross_check:
         via_nu = nu_map(c, tol=tol)
         if via_nu.word:
@@ -334,6 +316,19 @@ def _laplacian_spectra(split: HodgeSplit, values: list) -> list:
         clear = (s / top[fib]) ** 2 > split.tol
         out.append((lam, fib, clear))
     return out
+
+
+def _low(split: HodgeSplit, eps: float) -> list:
+    """Per degree i, the mask of the singular values of d_i that go to the
+    part at or below eps: s^2 <= eps, or s^2 under the Laplacian's rank cut
+    (not ``clear``) in C^i or in C^{i+1}, where the large part would count
+    it as kernel. Each mask stays a cut on the values of its fiber."""
+    clear = [c for _, _, c in _laplacian_spectra(split, split.singular)]
+    # in C^i the values of d_i come last, in C^{i+1} first
+    with np.errstate(over="ignore"):
+        return [(v.values * v.values <= eps) | ~here[len(here) - len(v.values):]
+                | ~there[:len(v.values)]
+                for v, here, there in zip(split.singular, clear, clear[1:])]
 
 
 def _epsilon(split: HodgeSplit) -> float | None:
@@ -420,16 +415,15 @@ def split_complex(c: ChainComplexC, eps: float, tol: float = DEFAULT_RANK_TOL):
     """Split C into the [0, eps] and (eps, inf) spectral subcomplexes.
 
     Membership is decided once per singular value of the restricted
-    differentials (the Laplacian eigenvalue is the singular value squared)
+    differentials (the Laplacian eigenvalue is the singular value squared;
+    one under the Laplacian's rank cut goes below eps too, see :func:`_low`)
     and the same decision is applied to the co-exact vector in one degree
     and its image in the next; that keeps the two subcomplexes exactly
     d-invariant even when eps falls inside a numerically degenerate
     eigenvalue pair.
     """
     split = hodge_split(c, tol)
-    with np.errstate(over="ignore"):
-        low = [v.values * v.values <= eps for v in split.singular]
-    return _split_parts(c, split, low)
+    return _split_parts(c, split, _low(split, eps))
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +463,9 @@ def torsion(
     - the default ``epsilon``, the geometric mean of the spectral extremes
       of the Laplacians, whose nonzero eigenvalues are the s^2;
     - the determinant-class verdicts, those of the split one degree up;
-    - the cut: s^2 <= epsilon puts s in the small part, folded through nu
-      together with the harmonic frames, and the rest in the strictly
-      acyclic large part;
+    - the cut: s^2 <= epsilon, or s^2 under the Laplacian's rank cut, puts
+      s in the small part, folded through nu together with the harmonic
+      frames, and the rest in the strictly acyclic large part;
     - ``log_rho_large``, the signed sum of weighted log s over the large
       part, cross-checked against the Laplacian closed form of the large
       subcomplex (the deviation is ``checks["large_part_formulas"]``);
@@ -495,9 +489,7 @@ def _torsion(c, split, sigma, epsilon, tol, out_prefix) -> TorsionReport:
         epsilon = _epsilon(split)
     verdicts = split.detclass()
 
-    cut = math.inf if epsilon is None else epsilon
-    with np.errstate(over="ignore"):
-        low = [v.values * v.values <= cut for v in split.singular]
+    low = _low(split, math.inf if epsilon is None else epsilon)
     small = [v.select(m) for v, m in zip(split.singular, low)]
     log_rho_large, checks = 0.0, {}
     if epsilon is not None:

@@ -29,7 +29,7 @@ from l2torsion.errors import InputValidationError, NotAChainComplexError, ShapeM
 from l2torsion.extcoh import ChainComplexC, cohomology, direct_sum_complexes
 from l2torsion.harness import family_multiplication_map
 from l2torsion.serialize import morphism_to_json
-from l2torsion.spectral import SpectralDensity
+from l2torsion.spectral import SpectralDensity, classify_determinant
 from l2torsion.torsion import cone_torsion_check, torsion, torsion_acyclic
 
 NONFINITE = [math.nan, math.inf, -math.inf]
@@ -217,3 +217,17 @@ def test_hostile_density_rejected(values, masses):
     pins them.)"""
     with pytest.raises(InputValidationError):
         SpectralDensity(np.array(values), np.array(masses), 0.0, 2.0)
+
+
+@pytest.mark.parametrize("zero_mass, total_mass", [
+    (-0.5, 2.0), (math.nan, 2.0), (math.inf, 2.0),
+    (0.5, -2.5), (0.5, math.nan), (0.5, math.inf),
+])
+def test_hostile_density_kernel_mass_rejected(zero_mass, total_mass):
+    """classify_determinant reads zero_mass as the kernel mass: values
+    [0.5, 2.0] of masses [1, 1] certify Divergent with zero_mass 0.5, and a
+    zero_mass of -0.5 would certify them Convergent."""
+    values, masses = np.array([0.5, 2.0]), np.ones(2)
+    assert classify_determinant(SpectralDensity(values, masses, 0.5, 2.5)).status == "Divergent"
+    with pytest.raises(InputValidationError):
+        SpectralDensity(values, masses, zero_mass, total_mass)

@@ -415,3 +415,40 @@ def test_extended_pushforward_reads_no_induced_products(kind, product_calls):
     product_calls.clear()
     extended_pushforward(x, y, f, identity_morphism(x.source), det_line_of_extended(x))
     assert product_calls == Counter()
+
+
+def _map(rng, source, target):
+    """A random map between objects; on a FiniteGroup backend a group-ring
+    matrix."""
+    backend = source.backend
+    if backend.kind.value == "FiniteGroup":
+        order = backend.group_order
+        shape = (target.dims[0] // order, source.dims[0] // order, order)
+        coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return Morphism(source, target, (expand_group_matrix(backend.group_table, coeffs),))
+    return Morphism(source, target, [rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+                                     for m, n in zip(target.dims, source.dims)])
+
+
+@pytest.mark.parametrize("with_products", [False, True])
+@pytest.mark.parametrize("kind", ["Matrix", "FiniteGroup", "Family"])
+def test_extended_source_is_the_complement_of_the_kernel(kind, with_products):
+    """extended_object restricts alpha to the complement of the kernel
+    frames of its SVD, in standardized coordinates. The reference takes the
+    kernel as a SubObject and its orthocomplement, through raw coordinates:
+    the same frames without products, the same up to rounding with."""
+    rng = np.random.default_rng(11)
+    backend = standard_backends(grid=4)[kind]
+    source, target = (_object_with_product(rng, backend, n) for n in (3, 2))
+    if not with_products:
+        source, target = HObject(backend, source.dims), HObject(backend, target.dims)
+    alpha = _map(rng, source, target)
+    kernel = subobject_from_std_frames(source, fiber_svds(alpha).kernel())
+    reference = compose(alpha, orthocomplement(kernel).include())
+    got = extended_object(alpha).alpha
+    assert got.source.dims == reference.source.dims == target.dims
+    for f in range(backend.n_fibers):
+        if with_products:
+            assert np.abs(got.blocks[f] - reference.blocks[f]).max() <= 1e-13 * alpha.norm()
+        else:
+            assert np.array_equal(got.blocks[f], reference.blocks[f])

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from l2torsion.harness import (
     random_exact_triple,
 )
 from l2torsion.torsion import (
+    TorsionReport,
     cone_torsion_check,
     default_epsilon,
     les_connecting_iso,
@@ -158,6 +160,19 @@ class TestTorsionReport:
         assert 0.0 <= r.checks["large_part_formulas"] < 1e-8 * max(
             1.0, abs(r.log_rho_large)
         )
+
+    def test_user_epsilon_under_the_laplacian_cut(self):
+        """d = diag(1, 3e-6): the split keeps s = 3e-6 (s > tol * 1), but
+        its Laplacian eigenvalue 9e-12 lies under the cut tol * 1 of the
+        Laplacian, which counts it as kernel. With epsilon = 9e-13 < s^2
+        the value must still go to the small part, as it does at 1e-11."""
+        obj = matrix_object(matrix_backend(), 2)
+        c = ChainComplexC((obj, obj), (matrix_morphism(obj, obj, np.diag([1.0, 3e-6])),))
+        below, above = torsion(c, epsilon=9e-13), torsion(c, epsilon=1e-11)
+        for name in (f.name for f in fields(TorsionReport) if f.name != "epsilon"):
+            assert getattr(below, name) == getattr(above, name), name
+        _, large, _, _ = split_complex(c, 9e-13)
+        assert torsion_acyclic(large) == 0.0
 
 
 class TestExactSequences:
