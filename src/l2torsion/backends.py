@@ -42,6 +42,12 @@ DEFAULT_RANK_TOL = 1e-10
 _COMPLEX = np.dtype(complex)
 
 
+def check_rank_tol(tol: float) -> None:
+    """Raise unless the relative rank cut tol lies in (0, 1); nan does not."""
+    if not 0.0 < tol < 1.0:
+        raise InputValidationError(f"the rank tolerance must lie in (0, 1), not {tol}")
+
+
 class BackendKind(str, Enum):
     MATRIX = "Matrix"
     FINITE_GROUP = "FiniteGroup"
@@ -1057,6 +1063,7 @@ def fiber_svds(
     A group of 1 x 1 blocks a takes no SVD call: s = |a|, U = a / |a| (1
     where a = 0) and Vh = 1, the factors LAPACK returns for a 1 x 1 block.
     """
+    check_rank_tol(tol)
     scale = np.asarray(scale, float)
     rank = np.zeros(f.backend.n_fibers, int)
     groups = []

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
+from .backends import check_rank_tol
 from .cellular import (
     cochain_complex,
     circle_complex,
@@ -71,8 +72,7 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
-        if self.tol_rank <= 0:
-            raise InputValidationError("the rank tolerance must be positive")
+        check_rank_tol(self.tol_rank)
         if self.grid is not None and self.grid < 8:
             raise InputValidationError("grid size must be at least 8")
         if self.epsilon is not None and not self.epsilon > 0:

@@ -341,7 +341,7 @@ def cohomology(c: ChainComplexC, tol: float = DEFAULT_RANK_TOL) -> CohomologyPro
     from .torsion import hodge_split  # torsion imports this module
 
     split = hodge_split(c, tol)
-    betti, verdicts = split.betti(split.singular), split.detclass()
+    betti, verdicts = split.betti(), split.detclass()
     return CohomologyProfile([
         DegreeCohomology(
             degree=i,

@@ -21,6 +21,7 @@ from .backends import (
     DEFAULT_RANK_TOL,
     FiberValues,
     Morphism,
+    check_rank_tol,
     fiber_svds,
 )
 from .errors import InputValidationError, NotSelfAdjointError, ShapeMismatchError
@@ -130,6 +131,7 @@ def spectral_density(m: Morphism, tol: float = DEFAULT_RANK_TOL) -> SpectralDens
     One batched eigenvalue call per shape group; per fiber, eigenvalues at
     or below ``tol`` times the largest magnitude count as kernel mass.
     """
+    check_rank_tol(tol)
     if not m.is_endo:
         raise ShapeMismatchError("spectral density requires an endomorphism")
     values, fibers = [np.zeros(0)], [np.zeros(0, np.intp)]

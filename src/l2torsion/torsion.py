@@ -106,6 +106,12 @@ class HodgeSplit:
     column order within a fiber), so that every reading below is an array
     expression over all fibers at once.
 
+    ``clear[i]`` is the Laplacian's rank cut on those values, decided once
+    here: two masks, whether s^2 lies above tol times the largest
+    eigenvalue of Delta_i (in C^i) and of Delta_{i+1} (in C^{i+1}) on the
+    fiber of s, or counts as kernel there. The default epsilon, the
+    epsilon cut and the trace-Betti numbers all read it.
+
     Every complex-level report reads the split through :meth:`detclass`
     and :meth:`betti`, so the torsion report, the extended cohomology and
     the determinant-class test cannot drift apart.
@@ -117,7 +123,7 @@ class HodgeSplit:
     singular: list  # singular[i] = kept singular values of d_i, flat
     verdicts: list  # certificate for each restricted differential
     weights: np.ndarray  # trace weight of each fiber
-    tol: float  # the relative rank cut the split was made with
+    clear: list = field(default_factory=list)  # clear[i] = (in C^i, in C^(i+1))
 
     def density(self, i: int) -> SpectralDensity:
         """Trace-weighted density of the kept singular values of d_i."""
@@ -129,19 +135,34 @@ class HodgeSplit:
         gets the verdict of an empty density."""
         return [empty_verdict(0.0)] + self.verdicts
 
-    def betti(self, values: list) -> list:
-        """Trace-Betti numbers when ``values[i]`` are the singular values of
-        d_i that count as spectrum: the harmonic dimensions plus the mass of
-        the Laplacian eigenvalues s^2 at or below tol times the largest
-        eigenvalue of their degree and fiber."""
-        return [
-            h.dim_tau + float(self.weights[fib[~clear]].sum())
-            for h, (_, fib, clear) in zip(self.harmonic, _laplacian_spectra(self, values))
-        ]
+    def betti(self) -> list:
+        """Trace-Betti numbers of the complex: the harmonic dimensions plus
+        the mass of the values whose s^2 the Laplacian's rank cut counts as
+        kernel, those of d_{i-1} and of d_i in degree i."""
+        kernel = [[np.zeros(0, np.intp)] for _ in self.harmonic]
+        for i, (v, cut) in enumerate(zip(self.singular, self.clear)):
+            for fibers, clear in zip(kernel[i:i + 2], cut):
+                fibers.append(v.fiber[~clear])
+        return [h.dim_tau + float(self.weights[np.concatenate(k)].sum())
+                for h, k in zip(self.harmonic, kernel)]
+
+
+def _laplacian_cut(singular: list, weights: np.ndarray, tol: float) -> list:
+    """Per differential d_i, the masks over its kept values s of whether
+    s^2 clears tol times the largest eigenvalue of Delta_i and of
+    Delta_{i+1} on the fiber of s (the largest s^2 of d_{i-1} and d_i, and
+    of d_i and d_{i+1}). The cut compares (s / largest s)^2 with tol, so
+    that it holds where s^2 overflows or underflows."""
+    top = [np.zeros(len(weights)) for _ in range(len(singular) + 1)]
+    for i, v in enumerate(singular):
+        for t in top[i:i + 2]:
+            np.maximum.at(t, v.fiber, v.values)
+    return [tuple((v.values / t[v.fiber]) ** 2 > tol for t in top[i:i + 2])
+            for i, v in enumerate(singular)]
 
 
 def hodge_split(c: ChainComplexC, tol: float = DEFAULT_RANK_TOL) -> HodgeSplit:
-    split = HodgeSplit([], [], [], [], [], c.backend.fiber_weights, tol)
+    split = HodgeSplit([], [], [], [], [], c.backend.fiber_weights)
     scale = c.fiber_scales()
     # standardized frames of B^i = cl(im d_{i-1}) and of W^i; B^0 and the
     # last W are empty
@@ -158,15 +179,8 @@ def hodge_split(c: ChainComplexC, tol: float = DEFAULT_RANK_TOL) -> HodgeSplit:
         split.coexact.append(subobject_from_std_frames(obj, w))
         both = Fibers([(idx, np.concatenate(st, axis=2)) for idx, st in align(b, w)], b.n)
         split.harmonic.append(subobject_from_std_frames(obj, complement(both)))
+    split.clear = _laplacian_cut(split.singular, split.weights, tol)
     return split
-
-
-def _harmonic_word(split: HodgeSplit, prefix: str) -> list:
-    return [
-        (Frame(h.space, f"{prefix}{i}"), (-1) ** i)
-        for i, h in enumerate(split.harmonic)
-        if h.dim_tau > 0
-    ]
 
 
 def _fold(split: HodgeSplit, values: list, prefix: str) -> tuple:
@@ -200,13 +214,18 @@ def _fold(split: HodgeSplit, values: list, prefix: str) -> tuple:
     return log_coeff, word
 
 
-def _rebased_log_coeff(sigma: DetLineElement, c: ChainComplexC) -> float:
-    """Coefficient of sigma against the unit volume element of det(C).
+def _pushed(c, split, sigma, values, prefix) -> DetLineElement:
+    """sigma (the unit volume element of det(C) when None) pushed through nu
+    on the part of the split whose singular values of d_i are ``values[i]``:
+    its coefficient rebased onto the complex's products, the harmonic
+    frames, and the part folded by :func:`_fold`.
 
     Each frame of sigma is matched to its degree and rebased from its own
     products onto the complex's; raises when sigma is not an element of
     det(C).
     """
+    if sigma is None:
+        sigma = complex_det_element(c)
     log_coeff = sigma.log_coeff
     matched = [False] * c.length
     for frame, e in sigma.word:
@@ -219,7 +238,10 @@ def _rebased_log_coeff(sigma: DetLineElement, c: ChainComplexC) -> float:
             raise L2TorsionError("input element does not match det of the complex")
     if any(obj.dim_tau > 0 and not m for obj, m in zip(c.objects, matched)):
         raise L2TorsionError("input element does not match det of the complex")
-    return log_coeff
+    folded, unfolded = _fold(split, values, prefix)
+    word = [(Frame(h.space, f"{prefix}{i}"), (-1) ** i)
+            for i, h in enumerate(split.harmonic) if h.dim_tau > 0]
+    return DetLineElement(tuple(word + unfolded), log_coeff + folded)
 
 
 def nu_map(
@@ -238,13 +260,8 @@ def nu_map(
     certified convergent are left unfolded: their co-exact/boundary frames
     stay in the word and no scalar contribution is recorded for them.
     """
-    if sigma is None:
-        sigma = complex_det_element(c)
     split = hodge_split(c, tol)
-    log_coeff = _rebased_log_coeff(sigma, c)
-    folded, unfolded = _fold(split, split.singular, "H")
-    word = _harmonic_word(split, "H") + unfolded
-    return DetLineElement(tuple(word), log_coeff + folded)
+    return _pushed(c, split, sigma, split.singular, "H")
 
 
 def _check_formulas(via_laplacian: float, via_svd: float) -> float:
@@ -297,47 +314,24 @@ def torsion_acyclic(
 # epsilon splitting
 
 
-def _laplacian_spectra(split: HodgeSplit, values: list) -> list:
-    """Per degree i, the nonzero eigenvalues of Delta_i that the singular
-    values ``values[i]`` give (the squares of those of d_{i-1} and d_i),
-    with their fiber indices and whether each clears the cut split.tol *
-    (largest eigenvalue of Delta_i on its fiber). The cut compares
-    (s / largest s of the fiber)^2 with split.tol, so that it holds where
-    s^2 overflows or underflows."""
-    out = []
-    for i in range(len(split.harmonic)):
-        adjacent = values[max(i - 1, 0): i + 1]
-        s = np.concatenate([np.zeros(0)] + [v.values for v in adjacent])
-        fib = np.concatenate([np.zeros(0, np.intp)] + [v.fiber for v in adjacent])
-        with np.errstate(over="ignore"):
-            lam = s * s
-        top = np.zeros(len(split.weights))
-        np.maximum.at(top, fib, s)
-        clear = (s / top[fib]) ** 2 > split.tol
-        out.append((lam, fib, clear))
-    return out
-
-
 def _low(split: HodgeSplit, eps: float) -> list:
     """Per degree i, the mask of the singular values of d_i that go to the
     part at or below eps: s^2 <= eps, or s^2 under the Laplacian's rank cut
-    (not ``clear``) in C^i or in C^{i+1}, where the large part would count
-    it as kernel. Each mask stays a cut on the values of its fiber."""
-    clear = [c for _, _, c in _laplacian_spectra(split, split.singular)]
-    # in C^i the values of d_i come last, in C^{i+1} first
+    in C^i or in C^{i+1}, where the large part would count it as kernel.
+    Each mask stays a cut on the values of its fiber."""
     with np.errstate(over="ignore"):
-        return [(v.values * v.values <= eps) | ~here[len(here) - len(v.values):]
-                | ~there[:len(v.values)]
-                for v, here, there in zip(split.singular, clear, clear[1:])]
+        return [(v.values * v.values <= eps) | ~here | ~there
+                for v, (here, there) in zip(split.singular, split.clear)]
 
 
 def _epsilon(split: HodgeSplit) -> float | None:
     positive = np.concatenate([np.zeros(0)] + [
-        lam[clear] for lam, _, clear in _laplacian_spectra(split, split.singular)
+        v.values[here | there] for v, (here, there) in zip(split.singular, split.clear)
     ])
     if not len(positive):
         return None
-    lo, hi = float(positive.min()), float(positive.max())
+    with np.errstate(over="ignore"):
+        lo, hi = np.square([positive.min(), positive.max()]).tolist()
     return max(math.sqrt(lo * hi), hi * 1e-12)
 
 
@@ -469,7 +463,8 @@ def torsion(
     - ``log_rho_large``, the signed sum of weighted log s over the large
       part, cross-checked against the Laplacian closed form of the large
       subcomplex (the deviation is ``checks["large_part_formulas"]``);
-    - the trace-Betti numbers of the small part.
+    - the trace-Betti numbers of the complex, the same at every epsilon
+      and those of :func:`l2torsion.extcoh.cohomology`.
 
     A scalar value is reported only when the cohomology line is canonically
     trivial: zero trace-Betti numbers and a Convergent certificate in every
@@ -482,15 +477,14 @@ def torsion(
 
 def _torsion(c, split, sigma, epsilon, tol, out_prefix) -> TorsionReport:
     """The body of :func:`torsion`, on the Hodge split of c already taken."""
-    if sigma is None:
-        sigma = complex_det_element(c)
-    log_coeff = _rebased_log_coeff(sigma, c)
     if epsilon is None:
         epsilon = _epsilon(split)
     verdicts = split.detclass()
 
     low = _low(split, math.inf if epsilon is None else epsilon)
     small = [v.select(m) for v, m in zip(split.singular, low)]
+    # the small part first, so that a mismatched sigma raises before the split
+    rho_small = _pushed(c, split, sigma, small, out_prefix)
     log_rho_large, checks = 0.0, {}
     if epsilon is not None:
         # building both parts runs their d^2 = 0 checks
@@ -503,11 +497,7 @@ def _torsion(c, split, sigma, epsilon, tol, out_prefix) -> TorsionReport:
                 raise NotAcyclicError("complex is not acyclic within tolerance")
             checks["large_part_formulas"] = _check_formulas(via_laplacian, log_rho_large)
 
-    folded, unfolded = _fold(split, small, out_prefix)
-    rho_small = DetLineElement(
-        tuple(_harmonic_word(split, out_prefix) + unfolded), log_coeff + folded
-    )
-    betti = split.betti(small)
+    betti = split.betti()
     combined = rho_small.scaled(log_rho_large)
 
     scalar_value = None

@@ -192,6 +192,16 @@ class TestInvalidInputs:
             ])
             assert code == EXIT_INVALID, epsilon
 
+    def test_bad_rank_tolerance(self, inputs, caplog):
+        code = main([
+            "torsion",
+            "--complex", str(inputs / "circle.json"),
+            "--rep", str(inputs / "rep_lambda_minus1.json"),
+            "--tol-rank", "nan",
+        ])
+        assert code == EXIT_INVALID
+        assert "rank tolerance" in caplog.text
+
     def test_bad_grid(self, inputs):
         code = main([
             "detclass",

@@ -29,7 +29,7 @@ from l2torsion.errors import InputValidationError, NotAChainComplexError, ShapeM
 from l2torsion.extcoh import ChainComplexC, cohomology, direct_sum_complexes
 from l2torsion.harness import family_multiplication_map
 from l2torsion.serialize import morphism_to_json
-from l2torsion.spectral import SpectralDensity, classify_determinant
+from l2torsion.spectral import SpectralDensity, classify_determinant, spectral_density
 from l2torsion.torsion import cone_torsion_check, torsion, torsion_acyclic
 
 NONFINITE = [math.nan, math.inf, -math.inf]
@@ -231,3 +231,20 @@ def test_hostile_density_kernel_mass_rejected(zero_mass, total_mass):
     assert classify_determinant(SpectralDensity(values, masses, 0.5, 2.5)).status == "Divergent"
     with pytest.raises(InputValidationError):
         SpectralDensity(values, masses, zero_mass, total_mass)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 2.0, -1.0, 0.0])
+def test_invalid_rank_tolerance_rejected(tol):
+    """The isomorphism diag(1, 0.5) has trace-Betti numbers [0, 0] and
+    torsion 2; a rank tolerance outside (0, 1) must raise, not drop every
+    singular value and report Betti [2, 2]."""
+    obj = matrix_object(matrix_backend(), 2)
+    d = matrix_morphism(obj, obj, np.diag([1.0, 0.5]))
+    c = ChainComplexC((obj, obj), (d,))
+    report = torsion(c)
+    assert report.betti == [0.0, 0.0]
+    assert report.scalar_value == pytest.approx(2.0, rel=1e-12)
+    for run in (lambda: torsion(c, tol=tol), lambda: cohomology(c, tol=tol),
+                lambda: spectral_density(d, tol=tol)):
+        with pytest.raises(InputValidationError, match="rank tolerance"):
+            run()

@@ -37,7 +37,7 @@ from l2torsion.cellular import (
     re_lift,
 )
 from l2torsion.detline import exact_sequence_iso, standard_element
-from l2torsion.extcoh import ChainComplexC, extended_object, kernel_cokernel_lines
+from l2torsion.extcoh import ChainComplexC, cohomology, extended_object, kernel_cokernel_lines
 from l2torsion.harness import random_exact_triple, random_invertible_morphism
 from l2torsion.torsion import (
     default_epsilon,
@@ -153,6 +153,22 @@ def test_permuting_samples_changes_nothing(seed):
     )
     assert after.betti == pytest.approx(before.betti, abs=1e-12)
     assert [v.status for v in after.detclass] == [v.status for v in before.detclass]
+
+
+@pytest.mark.parametrize("with_products", [False, True])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_betti_matches_cohomology_at_every_epsilon(seed, with_products):
+    """The trace-Betti numbers of torsion() are those of cohomology(),
+    wherever epsilon cuts the ragged family's spectrum."""
+    rng = np.random.default_rng(seed)
+    samples = uniform_interval_samples(9)
+    dims, diffs = _ragged_fibers(rng, 9)
+    products = _products(rng, dims) if with_products else None
+    c = _family_complex(samples, dims, diffs, products)
+    betti = [d.betti for d in cohomology(c).degrees]
+    eps = default_epsilon(c)
+    for epsilon in (None, eps, 1e-3 * eps, 1e3 * eps, 1e-12, np.inf):
+        assert torsion(c, epsilon=epsilon).betti == betti
 
 
 @pytest.fixture

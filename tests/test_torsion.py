@@ -15,7 +15,7 @@ from l2torsion.errors import (
     NotAChainMapError,
     NotAcyclicError,
 )
-from l2torsion.extcoh import ChainComplexC
+from l2torsion.extcoh import ChainComplexC, cohomology
 from l2torsion.harness import (
     random_acyclic_complex,
     random_chain_map,
@@ -173,6 +173,39 @@ class TestTorsionReport:
             assert getattr(below, name) == getattr(above, name), name
         _, large, _, _ = split_complex(c, 9e-13)
         assert torsion_acyclic(large) == 0.0
+
+    @pytest.mark.parametrize("epsilon", [None, 1.0, 0.5, 1e-11, 9e-13])
+    def test_betti_does_not_depend_on_epsilon(self, epsilon):
+        """d = diag(1, 3e-6): s^2 = 9e-12 lies under the Laplacian's cut
+        tol * 1, so the complex has trace-Betti numbers [1, 1], whichever
+        part of the epsilon split s falls in, and no scalar."""
+        obj = matrix_object(matrix_backend(), 2)
+        c = ChainComplexC((obj, obj), (matrix_morphism(obj, obj, np.diag([1.0, 3e-6])),))
+        report = torsion(c, epsilon=epsilon)
+        assert report.betti == [1.0, 1.0]
+        assert report.betti == [d.betti for d in cohomology(c).degrees]
+        assert report.scalar_value is None
+
+    def test_laplacian_cut_once_per_split(self, rng, monkeypatch):
+        """The Laplacian's rank cut is decided once, in hodge_split: one
+        decision per torsion() call, at the default and at a user epsilon,
+        and one per cohomology() call."""
+        module = sys.modules["l2torsion.torsion"]
+        assert not hasattr(module, "_laplacian_spectra")
+        calls = []
+        real = module._laplacian_cut
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(module, "_laplacian_cut", counted)
+        c = random_complex_with_cohomology(rng, 3)
+        for run in (lambda: torsion(c), lambda: torsion(c, epsilon=1.0),
+                    lambda: cohomology(c)):
+            calls.clear()
+            run()
+            assert len(calls) == 1
 
 
 class TestExactSequences:
