@@ -664,17 +664,10 @@ class Morphism:
         return self.source.same_space(self.target)
 
     def norm(self) -> float:
-        """Largest operator norm of a block: max |a| over a group of 1 x 1
-        blocks a, the largest singular value (one batched SVD) otherwise.
-        Computed once per morphism."""
+        """Largest operator norm of a block (:func:`operator_norm`),
+        computed once per morphism."""
         if self._norm is None:
-            self._norm = max(
-                (float(np.abs(b).max() if b.shape[1:] == (1, 1)
-                       else np.linalg.norm(b[0], 2) if len(b) == 1
-                       else np.linalg.norm(b, 2, axis=(1, 2)).max())
-                 for _, b in self.blocks.groups if min(b.shape[1:])),
-                default=0.0,
-            )
+            self._norm = operator_norm(b for _, b in self.blocks.groups)
         return self._norm
 
     def standardized_blocks(self) -> Fibers:
@@ -702,6 +695,19 @@ class Morphism:
 
     def __matmul__(self, other: "Morphism") -> "Morphism":
         return compose(self, other)
+
+
+def operator_norm(stacks) -> float:
+    """Largest operator norm of a matrix of the stacks: max |a| over a stack
+    of 1 x 1 blocks a, the largest singular value (one batched SVD)
+    otherwise; a stack of empty matrices counts as 0."""
+    return max(
+        (float(np.abs(b).max() if b.shape[1:] == (1, 1)
+               else np.linalg.norm(b[0], 2) if len(b) == 1
+               else np.linalg.norm(b, 2, axis=(1, 2)).max())
+         for b in stacks if min(b.shape[1:])),
+        default=0.0,
+    )
 
 
 def _frozen_complex(stack: np.ndarray) -> np.ndarray:
@@ -853,12 +859,19 @@ def _block_diagonal(a: Fibers, b: Fibers) -> Fibers:
 
 
 def direct_sum_objects(a: HObject, b: HObject) -> HObject:
+    """The orthogonal sum of a and b. Its product and the factors (S, S^-1)
+    of that product are the block diagonals of theirs, so the sum is
+    neither validated nor factored again."""
     if not a.backend.same_as(b.backend):
         raise BackendMismatchError("direct sum across different backends")
-    products = None
+    out = HObject(a.backend, a.dim_array + b.dim_array)
     if a.gram is not None or b.gram is not None:
-        products = _block_diagonal(a.product_fibers(), b.product_fibers())
-    return HObject(a.backend, a.dim_array + b.dim_array, products)
+        pa, pb = a.product_fibers(), b.product_fibers()
+        # a standard part's factors are its identity product
+        fa, fb = a.factors() or (pa, pa), b.factors() or (pb, pb)
+        out.gram = _block_diagonal(pa, pb)
+        out._factors = tuple(map(_block_diagonal, fa, fb))
+    return out
 
 
 def direct_sum_morphisms(f: Morphism, g: Morphism) -> Morphism:
@@ -1045,10 +1058,11 @@ def _scalar_svd(b: np.ndarray, vectors: bool) -> tuple:
 
 
 def fiber_svds(
-    f: Morphism, tol: float = DEFAULT_RANK_TOL, scale=0.0, vectors: bool = True
+    f: Morphism | Fibers, tol: float = DEFAULT_RANK_TOL, scale=0.0, vectors: bool = True
 ) -> FiberSVD:
-    """SVD of the standardized blocks with their ranks, one batched call
-    per shape group (see :class:`FiberSVD`).
+    """SVD of the standardized blocks of f with their ranks, one batched
+    call per shape group (see :class:`FiberSVD`); f is a morphism or, as
+    :class:`Fibers`, blocks already in orthonormal coordinates.
 
     This is the one place where the library takes the SVD of a morphism
     and decides its rank. Singular values at or below tol * max(largest
@@ -1064,10 +1078,11 @@ def fiber_svds(
     where a = 0) and Vh = 1, the factors LAPACK returns for a 1 x 1 block.
     """
     check_rank_tol(tol)
+    blocks = f if isinstance(f, Fibers) else f.standardized_blocks()
     scale = np.asarray(scale, float)
-    rank = np.zeros(f.backend.n_fibers, int)
+    rank = np.zeros(blocks.n, int)
     groups = []
-    for idx, b in f.standardized_blocks().groups:
+    for idx, b in blocks.groups:
         k, rows, cols = b.shape
         if not min(rows, cols):
             u, vh = (_eye_stack(k, rows), _eye_stack(k, cols)) if vectors else (None, None)

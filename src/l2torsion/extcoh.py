@@ -177,13 +177,34 @@ def canonical_trivialization(x: ExtendedObject) -> DetLineElement:
 # chain complexes
 
 
+def check_d_squared(norms: list, pairs, check_norm: float = 0.0) -> None:
+    """Raise :class:`NotAChainComplexError` unless d_{i+1} d_i vanishes
+    numerically for every i.
+
+    ``norms[i]`` is the operator norm of d_i and ``pairs[i]`` lists
+    ``(idx, (x, y))``, the aligned stacks of d_{i+1} and d_i per group of
+    fibers. Each product is compared after dividing both maps by their
+    norms, so that neither the composition nor the bound overflows; it
+    must stay within 1e-10 times max(1, N^2 / (|d_{i+1}| |d_i|)), with N
+    the reference norm ``check_norm``. A pair with a zero map passes.
+    """
+    for i, pair in enumerate(pairs):
+        na, nb = norms[i + 1], norms[i]
+        if na == 0.0 or nb == 0.0:
+            continue
+        bound = max(1.0, (check_norm / na) * (check_norm / nb))
+        if any(largest_norm((x / na) @ (y / nb)) > 1e-10 * bound for _, (x, y) in pair):
+            raise NotAChainComplexError(f"differentials {i} and {i + 1} do not compose to zero")
+
+
 @dataclass(eq=False)
 class ChainComplexC:
     """Cochain complex C^0 -> C^1 -> ... -> C^n of backend objects.
 
     ``objects[i]`` is C^i and ``diffs[i]`` is the differential C^i -> C^{i+1}
     (so there are len(objects) - 1 of them). The composition of consecutive
-    differentials must vanish numerically.
+    differentials must vanish numerically: the constructor runs
+    :func:`check_d_squared` on them.
     """
 
     objects: tuple
@@ -220,22 +241,12 @@ class ChainComplexC:
                 and d.target.same_space(self.objects[i + 1])
             ):
                 raise ShapeMismatchError(f"differential {i} does not fit the grading")
-        norms = [d.norm() for d in self.diffs] if len(self.diffs) > 1 else []
-        for i in range(len(self.diffs) - 1):
-            # compared after dividing both maps by their norms, so that
-            # neither the composition nor the bound overflows
-            a, b = self.diffs[i + 1], self.diffs[i]
-            na, nb = norms[i + 1], norms[i]
-            if na == 0.0 or nb == 0.0:
-                continue
-            bound = max(1.0, (self.check_norm / na) * (self.check_norm / nb))
-            if any(
-                largest_norm((x / na) @ (y / nb)) > 1e-10 * bound
-                for _, (x, y) in align(a.blocks, b.blocks)
-            ):
-                raise NotAChainComplexError(
-                    f"differentials {i} and {i + 1} do not compose to zero"
-                )
+        if len(self.diffs) > 1:
+            check_d_squared(
+                [d.norm() for d in self.diffs],
+                (align(a.blocks, b.blocks) for b, a in zip(self.diffs, self.diffs[1:])),
+                self.check_norm,
+            )
 
     @property
     def length(self) -> int:

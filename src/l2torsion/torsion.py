@@ -24,6 +24,7 @@ import numpy as np
 
 from .backends import (
     DEFAULT_RANK_TOL,
+    FiberValues,
     Fibers,
     HObject,
     Morphism,
@@ -38,6 +39,7 @@ from .backends import (
     hermitian,
     identity_morphism,
     largest_block_norm,
+    operator_norm,
     partition,
     scale_morphism,
     subobject_from_std_frames,
@@ -55,12 +57,11 @@ from .errors import (
     NotAChainMapError,
     NotAcyclicError,
 )
-from .extcoh import ChainComplexC
+from .extcoh import ChainComplexC, check_d_squared
 from .spectral import (
     SpectralDensity,
     classify_determinant,
     empty_verdict,
-    singular_density,
 )
 
 
@@ -196,7 +197,8 @@ def _fold(split: HodgeSplit, values: list, prefix: str) -> tuple:
     The values get no rank cut of their own: the split's cut,
     tol * max(largest value of the fiber, fiber scale of the complex), is
     at least the cut a subcomplex would draw from its own values and scale,
-    so every value would pass it.
+    so every value would pass it. A part that holds every value of d_i has
+    the density of the split, so it takes the split's verdict.
     """
     log_coeff, word = 0.0, []
     for i, kept in enumerate(values):
@@ -204,8 +206,10 @@ def _fold(split: HodgeSplit, values: list, prefix: str) -> tuple:
         space = HObject(backend, kept.counts(len(split.weights)))
         if space.dim_tau <= 0:
             continue
-        density = SpectralDensity.from_fibers(kept, split.weights)
-        verdict = classify_determinant(density)
+        if len(kept.values) == len(split.singular[i].values):
+            verdict = split.verdicts[i]
+        else:
+            verdict = classify_determinant(SpectralDensity.from_fibers(kept, split.weights))
         if verdict.convergent:
             log_coeff += (-1) ** (i + 1) * verdict.log_integral
         else:
@@ -276,32 +280,47 @@ def _check_formulas(via_laplacian: float, via_svd: float) -> float:
     return abs(via_svd - via_laplacian)
 
 
+def _laplacian_torsion(std: list, dims: list, weights: np.ndarray, tol: float) -> float:
+    """(1/2) sum_i (-1)^i i log Det(Delta_i) of the complex whose
+    differentials in orthonormal coordinates are the Fibers ``std`` and
+    whose degree i has the fiber dimensions ``dims[i]``; raises
+    :class:`NotAcyclicError` when a Laplacian has a kernel.
+
+    Delta_i = F_i^* F_i with F_i = [d_i; d_{i-1}^*] stacked, so
+    log Det(Delta_i) is twice the log moment of the singular values of F_i
+    (one values-only SVD per degree; nothing is squared). Values at or
+    below sqrt(tol) times the largest of their fiber count as kernel: the
+    cut tol * (largest eigenvalue) on Delta_i.
+    """
+    total = 0.0
+    for i, dim in enumerate(dims):
+        parts = std[i:i + 1] + [b.map(hermitian) for b in std[max(i - 1, 0):i]]
+        # no adjacent differential: F_i has no rows and C^i is all kernel
+        kept = FiberValues(np.zeros(0), np.zeros(0, np.intp))
+        if parts:
+            f = Fibers([(idx, np.concatenate(st, axis=1)) for idx, st in align(*parts)],
+                       len(weights))
+            kept = fiber_svds(f, math.sqrt(tol), vectors=False).kept()
+        density = SpectralDensity.from_fibers(kept, weights, dim)
+        if density.zero_mass > 1e-8:
+            raise NotAcyclicError(f"Laplacian in degree {i} has a kernel")
+        total += (-1) ** i * i * density.log_moment()
+    return total
+
+
 def torsion_acyclic(
     c: ChainComplexC, tol: float = DEFAULT_RANK_TOL, cross_check: bool = True
 ) -> float:
     """log-torsion of a strictly acyclic complex.
 
-    Computed as (1/2) sum_i (-1)^i i log Det(Delta_i) and cross-checked
-    against the product of restricted-differential determinants coming out
-    of the nu construction; disagreement beyond 1e-8 raises. In
-    standardized coordinates Delta_i = F_i^* F_i with F_i = [d_i; d_{i-1}^*]
-    stacked, so log Det(Delta_i) is twice the log moment of the singular
-    values of F_i (one values-only SVD per degree; nothing is squared).
-    Values at or below sqrt(tol) times the largest of their fiber count as
-    kernel: the cut tol * (largest eigenvalue) on Delta_i.
+    Computed by the Laplacian formula (1/2) sum_i (-1)^i i log Det(Delta_i)
+    on the standardized differentials (see :func:`_laplacian_torsion`) and
+    cross-checked against the product of restricted-differential
+    determinants coming out of the nu construction; disagreement beyond
+    1e-8 raises.
     """
-    std, n = [d.standardized_blocks() for d in c.diffs], c.backend.n_fibers
-    total = 0.0
-    for i, obj in enumerate(c.objects):
-        parts = std[i:i + 1] + [b.map(hermitian) for b in std[max(i - 1, 0):i]]
-        # no adjacent differential: F_i has no rows and C^i is all kernel
-        f = (Fibers([(idx, np.concatenate(st, axis=1)) for idx, st in align(*parts)], n)
-             if parts else _no_columns(obj).map(hermitian))
-        factor = Morphism(HObject(c.backend, obj.dim_array), HObject(c.backend, f.sizes(0)), f)
-        density = singular_density(factor, math.sqrt(tol))
-        if density.zero_mass > 1e-8:
-            raise NotAcyclicError(f"Laplacian in degree {i} has a kernel")
-        total += (-1) ** i * i * density.log_moment()
+    total = _laplacian_torsion([d.standardized_blocks() for d in c.diffs],
+                               [o.dim_array for o in c.objects], c.backend.fiber_weights, tol)
     if cross_check:
         via_nu = nu_map(c, tol=tol)
         if via_nu.word:
@@ -351,9 +370,10 @@ def default_epsilon(c: ChainComplexC, tol: float = DEFAULT_RANK_TOL) -> float | 
     return _epsilon(hodge_split(c, tol))
 
 
-def _split_parts(c: ChainComplexC, split: HodgeSplit, low: list):
-    """The two subcomplexes of the Hodge split for the masks ``low[i]``
-    over the singular values of d_i (True for the part at or below epsilon).
+def _split_parts(c: ChainComplexC, split: HodgeSplit, low: list, small: bool = True):
+    """The large part of the Hodge split for the masks ``low[i]`` over the
+    singular values of d_i (True for the part at or below epsilon), and the
+    small part when ``small``, as raw stacks.
 
     The harmonic part goes to the small side; a co-exact column of C^i and
     its image column in C^{i+1} go to the side their singular value picks.
@@ -364,6 +384,12 @@ def _split_parts(c: ChainComplexC, split: HodgeSplit, low: list):
     The fibers are grouped once, by the widths of every Hodge frame and by
     every cut. Within a group every frame of both parts is a plain slice of
     the Hodge frames, and every compressed differential one batched product.
+
+    Returns the groups (arrays of fiber indices), the parts, the large one
+    first, and the dimensions of the large part in each degree, one per
+    fiber. A part is (frames, diffs): ``frames[i]`` and ``diffs[i]`` hold
+    one stack per group, of the part's frames in C^i and of d_i compressed
+    between the part's frames, both in standardized coordinates.
     """
     n = c.backend.n_fibers
     none = np.zeros(n, int)
@@ -382,27 +408,22 @@ def _split_parts(c: ChainComplexC, split: HodgeSplit, low: list):
             bound = int(key.max()) + 1
         key, bound = key * radix + width, bound * radix
     groups = [idx for idx, _ in partition(key)]
-    # per part (small, then large) and degree, one stack per group of the
+    # per part (large, then small) and degree, one stack per group of the
     # frames and of the compressed differentials
-    frames, blocks = ([[[] for _ in xs] for _ in range(2)] for xs in (hodge, c.diffs))
+    frames, blocks = ([[[] for _ in xs] for _ in range(1 + small)] for xs in (hodge, c.diffs))
     for idx in groups:
         for i, ((h, b, w), lb, lw) in enumerate(zip(hodge, large, large[1:])):
-            hv, bv, wv, kb, kw = h.take(idx), b.take(idx), w.take(idx), lb[idx[0]], lw[idx[0]]
-            frames[0][i].append(np.concatenate([hv, bv[:, :, kb:], wv[:, :, kw:]], axis=2))
-            frames[1][i].append(np.concatenate([bv[:, :, :kb], wv[:, :, :kw]], axis=2))
+            bv, wv, kb, kw = b.take(idx), w.take(idx), lb[idx[0]], lw[idx[0]]
+            frames[0][i].append(np.concatenate([bv[:, :, :kb], wv[:, :, :kw]], axis=2))
+            if small:
+                frames[1][i].append(
+                    np.concatenate([h.take(idx), bv[:, :, kb:], wv[:, :, kw:]], axis=2))
         for i, d in enumerate(c.diffs):
             db, p = d.blocks.take(idx), c.objects[i + 1].gram
             for fr, bl in zip(frames, blocks):
                 v = hermitian(fr[i + 1][-1])
                 bl[i].append((v if p is None else v @ p.take(idx)) @ (db @ fr[i][-1]))
-    norm = max((d.norm() for d in c.diffs), default=0.0)
-    out = []
-    for fr, bl in zip(frames, blocks):
-        subs = [SubObject(obj, Fibers(list(zip(groups, g)), n)) for obj, g in zip(c.objects, fr)]
-        diffs = tuple(Morphism(s.space, t.space, Fibers(list(zip(groups, g)), n))
-                      for s, t, g in zip(subs, subs[1:], bl))
-        out += [ChainComplexC(tuple(s.space for s in subs), diffs, check_norm=norm), subs]
-    return out[0], out[2], out[1], out[3]
+    return groups, list(zip(frames, blocks)), [lb + lw for lb, lw in zip(large, large[1:])]
 
 
 def split_complex(c: ChainComplexC, eps: float, tol: float = DEFAULT_RANK_TOL):
@@ -415,9 +436,25 @@ def split_complex(c: ChainComplexC, eps: float, tol: float = DEFAULT_RANK_TOL):
     and its image in the next; that keeps the two subcomplexes exactly
     d-invariant even when eps falls inside a numerically degenerate
     eigenvalue pair.
+
+    Returns (small_c, large_c, small_subs, large_subs): each part as a
+    :class:`ChainComplexC`, whose constructor runs its d^2 = 0 check, and
+    its frames as subobjects of the C^i. The complexes keep the norm of c
+    as their reference norm (``check_norm``), since their differentials
+    carry the rounding of c's.
     """
     split = hodge_split(c, tol)
-    return _split_parts(c, split, _low(split, eps))
+    groups, parts, _ = _split_parts(c, split, _low(split, eps))
+    n, norm = c.backend.n_fibers, max((d.norm() for d in c.diffs), default=0.0)
+    out = []
+    for frames, diffs in parts:
+        subs = [SubObject(obj, Fibers(list(zip(groups, g)), n))
+                for obj, g in zip(c.objects, frames)]
+        maps = tuple(Morphism(s.space, t.space, Fibers(list(zip(groups, g)), n))
+                     for s, t, g in zip(subs, subs[1:], diffs))
+        out.append((ChainComplexC(tuple(s.space for s in subs), maps, check_norm=norm), subs))
+    (large_c, large_subs), (small_c, small_subs) = out
+    return small_c, large_c, small_subs, large_subs
 
 
 # ---------------------------------------------------------------------------
@@ -487,12 +524,22 @@ def _torsion(c, split, sigma, epsilon, tol, out_prefix) -> TorsionReport:
     rho_small = _pushed(c, split, sigma, small, out_prefix)
     log_rho_large, checks = 0.0, {}
     if epsilon is not None:
-        # building both parts runs their d^2 = 0 checks
-        _, large_c, _, _ = _split_parts(c, split, low)
-        if any(o.dim_tau > 0 for o in large_c.objects):
+        # both parts get the d^2 = 0 check of a ChainComplexC, against the
+        # norm of c; the small part is built only for it, and it needs two
+        # differentials
+        checked = len(c.diffs) > 1
+        groups, parts, widths = _split_parts(c, split, low, checked)
+        if checked:
+            norm = max(d.norm() for d in c.diffs)
+            for _, diffs in parts:
+                check_d_squared([operator_norm(d) for d in diffs],
+                                (zip(groups, zip(a, b)) for b, a in zip(diffs, diffs[1:])), norm)
+        if any(w.any() for w in widths):
             large = [v.select(~m) for v, m in zip(split.singular, low)]
             log_rho_large, unfolded = _fold(split, large, out_prefix)
-            via_laplacian = torsion_acyclic(large_c, tol, cross_check=False)
+            n, (_, large_diffs) = len(split.weights), parts[0]
+            stacks = [Fibers(list(zip(groups, g)), n) for g in large_diffs]
+            via_laplacian = _laplacian_torsion(stacks, widths, split.weights, tol)
             if unfolded:
                 raise NotAcyclicError("complex is not acyclic within tolerance")
             checks["large_part_formulas"] = _check_formulas(via_laplacian, log_rho_large)

@@ -67,3 +67,17 @@ def test_benchmark_family_grid_meets_its_oracles():
     assert done.returncode == 0, done.stderr
     last = json.loads(done.stdout.strip().splitlines()[-1])
     assert last["correct"] is True and last["failed"] == 0, last
+
+
+def test_benchmark_random_suites_meets_its_oracles():
+    """One second of the random_suites benchmark: every exact-triple, cone
+    and epsilon-pair op meets its oracle."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "benchmark", "run.py"),
+         "--workload", "random_suites", "--seconds", "1", "--trace", "0"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    last = json.loads(done.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0, last
