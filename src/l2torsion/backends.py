@@ -264,12 +264,21 @@ def fiber_range(n: int) -> np.ndarray:
 
 
 def partition(keys: np.ndarray) -> list:
-    """[(idx, key)]: the positions of each distinct key, ascending."""
-    if len(keys) == 1 or (len(keys) and (keys == keys[0]).all()):
-        return [(fiber_range(len(keys)), keys[0])]
-    values, inverse = np.unique(keys, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    return list(zip(np.split(order, np.cumsum(np.bincount(inverse))[:-1]), values))
+    """[(idx, key)]: the positions of each distinct key, ascending, for the
+    keys in ascending order; [] for no keys.
+
+    One stable argsort of the keys orders the positions by key and, within
+    a key, ascending; the groups are cut where the sorted key changes.
+    """
+    n = len(keys)
+    if not n:
+        return []
+    if n == 1 or (keys == keys[0]).all():
+        return [(fiber_range(n), keys[0])]
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    return list(zip(np.split(order, cuts), ordered[np.concatenate(([0], cuts))]))
 
 
 def _merge(groups: list) -> list:
@@ -466,62 +475,80 @@ def _as_gram(dims: np.ndarray, products) -> Fibers | None:
     return gram
 
 
+def _fiber_dims(dims) -> np.ndarray:
+    """``dims`` as a flat integer array; raises
+    :class:`InputValidationError` unless every entry is an integer
+    (integral floats pass; :class:`HObject` rejects negative ones)."""
+    a = np.asarray(dims).reshape(-1)
+    if a.dtype.kind in "iu":
+        a = a.astype(int, copy=False)
+    else:
+        try:
+            f = a.astype(float)
+        except (TypeError, ValueError):
+            raise InputValidationError("fiber dimensions must be integers") from None
+        # nan, inf and values past the int64 range fail the first test
+        if not np.all((np.abs(f) < 2.0**63) & (f == np.round(f))):
+            raise InputValidationError("fiber dimensions must be integers")
+        a = f.astype(int)
+    return a
+
+
 class HObject:
     """Object of the category: fibered Hilbert space with admissible product.
 
-    ``dims`` are the internal (expanded) complex fiber dimensions, also
-    kept as the array ``dim_array``. ``products`` are fiberwise positive
+    ``dim_array`` holds the internal (expanded) complex fiber dimensions,
+    one nonnegative integer per fiber; ``dims`` reads them as a tuple, built
+    on each call. ``uniform_dim`` is the common dimension of all fibers, or
+    None. The dimensions may be given as any sequence or array of integers
+    (integral floats included). ``products`` are fiberwise positive
     definite operators, given per fiber (``None`` means the standard product
     on that fiber) or as :class:`Fibers`; they are kept as the Fibers
     ``gram``, with the identity on standard fibers, or ``gram`` is None
     when every fiber is standard.
     """
 
-    __slots__ = ("backend", "dims", "uniform_dim", "gram",
-                 "_dim_array", "_factors", "_dim_groups")
+    __slots__ = ("backend", "dim_array", "uniform_dim", "gram", "_factors", "_dim_groups")
 
     def __init__(self, backend: CategoryBackend, dims, products=None) -> None:
         self.backend = backend
-        if isinstance(dims, np.ndarray):
-            self._dim_array = dims.astype(int, copy=False).reshape(-1)
-            self.dims = tuple(self._dim_array.tolist())
-        else:
-            self._dim_array = None
-            self.dims = tuple(map(int, dims))
-        if len(self.dims) != backend.n_fibers:
+        self.dim_array = dims = _fiber_dims(dims)
+        if len(dims) != backend.n_fibers:
             raise ShapeMismatchError("fiber count does not match backend")
-        # the common dimension of all fibers, or None
-        d = self.dims[0]
-        self.uniform_dim = d if self.dims.count(d) == len(self.dims) else None
-        self.gram = None if products is None else _as_gram(self.dim_array, products)
+        if len(dims) == 1:
+            lo = hi = int(dims[0])
+        else:
+            lo, hi = int(dims.min()), int(dims.max())
+        if lo < 0:
+            raise InputValidationError("fiber dimensions must be nonnegative")
+        self.uniform_dim = lo if lo == hi else None
+        self.gram = None if products is None else _as_gram(dims, products)
         self._factors = None
         self._dim_groups = None
 
     @property
-    def dim_array(self) -> np.ndarray:
-        """``dims`` as an array."""
-        if self._dim_array is None:
-            self._dim_array = np.array(self.dims)
-        return self._dim_array
+    def dims(self) -> tuple:
+        """The fiber dimensions as a tuple of ints."""
+        return tuple(self.dim_array.tolist())
 
     @property
     def products(self) -> tuple:
         """Per fiber, the product operator; None on every fiber when all are
         standard."""
         if self.gram is None:
-            return (None,) * len(self.dims)
+            return (None,) * self.backend.n_fibers
         return tuple(self.gram)
 
     @property
     def dim_tau(self) -> float:
-        if len(self.dims) == 1:
-            return float(self.backend.fiber_weights[0] * self.dims[0])
+        if len(self.dim_array) == 1:
+            return float(self.backend.fiber_weights[0] * self.uniform_dim)
         return float(np.dot(self.backend.fiber_weights, self.dim_array))
 
     def dim_groups(self) -> list:
         """[(idx, d)]: the fibers of each dimension d."""
         if self.uniform_dim is not None:
-            return [(fiber_range(len(self.dims)), self.uniform_dim)]
+            return [(fiber_range(len(self.dim_array)), self.uniform_dim)]
         if self._dim_groups is None:
             self._dim_groups = [(idx, int(d)) for idx, d in partition(self.dim_array)]
         return self._dim_groups
@@ -541,17 +568,17 @@ class HObject:
         if self.gram is not None:
             return self.gram
         return Fibers([(idx, _eye_stack(len(idx), d)) for idx, d in self.dim_groups()],
-                      len(self.dims))
+                      len(self.dim_array))
 
     def product_matrix(self, f: int) -> np.ndarray:
         if self.gram is None:
-            return np.eye(self.dims[f], dtype=complex)
+            return np.eye(int(self.dim_array[f]), dtype=complex)
         return self.gram[f]
 
     def std_factor(self, f: int) -> np.ndarray:
         """Upper-triangular S with S^H S = P; x -> Sx orthonormalizes fiber f."""
         if self.gram is None:
-            return np.eye(self.dims[f], dtype=complex)
+            return np.eye(int(self.dim_array[f]), dtype=complex)
         return self.factors()[0][f]
 
     def with_products(self, products) -> "HObject":
@@ -567,7 +594,14 @@ class HObject:
         ))
 
     def same_space(self, other: "HObject") -> bool:
-        return self.backend.same_as(other.backend) and self.dims == other.dims
+        """Whether other has the same backend and fiber dimensions."""
+        if not self.backend.same_as(other.backend):
+            return False
+        # a shared backend fixes the fiber count
+        if self.uniform_dim is not None or other.uniform_dim is not None:
+            return self.uniform_dim == other.uniform_dim
+        a, b = self.dim_array, other.dim_array
+        return a is b or bool((a == b).all())
 
 
 def matrix_object(backend: CategoryBackend, n: int, product=None) -> HObject:
@@ -595,8 +629,7 @@ def family_object(backend: CategoryBackend, dims, products=None) -> HObject:
     if backend.kind is not BackendKind.FAMILY:
         raise BackendMismatchError("family_object needs a Family backend")
     if np.isscalar(dims):
-        dims = np.full(backend.n_fibers, int(dims))
-    dims = tuple(np.asarray(dims, dtype=int).tolist())
+        dims = np.full(backend.n_fibers, dims)
     return HObject(backend, dims, products)
 
 
@@ -604,12 +637,10 @@ def _shape_groups(target: HObject, source: HObject) -> list:
     """[(idx, (m, n))]: the fibers of each block shape m x n of the maps
     from source to target."""
     if target.uniform_dim is not None and source.uniform_dim is not None:
-        return [(fiber_range(len(source.dims)), (target.uniform_dim, source.uniform_dim))]
+        return [(fiber_range(len(source.dim_array)), (target.uniform_dim, source.uniform_dim))]
     rows, cols = target.dim_array, source.dim_array
-    return [
-        (idx, divmod(int(key), int(cols.max()) + 1))
-        for idx, key in partition(rows * (int(cols.max()) + 1) + cols)
-    ]
+    radix = int(cols.max()) + 1
+    return [(idx, divmod(int(key), radix)) for idx, key in partition(rows * radix + cols)]
 
 
 @dataclass(eq=False, slots=True)
@@ -720,9 +751,8 @@ def _grouped_blocks(source: HObject, target: HObject, blocks) -> Fibers:
     """A per-fiber sequence of blocks as Fibers, each block checked against
     its fiber's shape."""
     arrays = []
-    for f, b in enumerate(blocks):
+    for f, (b, expect) in enumerate(zip(blocks, zip(target.dims, source.dims))):
         b = np.asarray(b, dtype=complex)
-        expect = (target.dims[f], source.dims[f])
         if b.size == 0:
             b = b.reshape(expect)
         if b.shape != expect:
@@ -754,12 +784,12 @@ def zero_morphism(source: HObject, target: HObject) -> Morphism:
         (idx, np.zeros((len(idx), m, n), dtype=complex))
         for idx, (m, n) in _shape_groups(target, source)
     ]
-    return Morphism(source, target, Fibers(groups, len(source.dims)))
+    return Morphism(source, target, Fibers(groups, source.backend.n_fibers))
 
 
 def scalar_morphism(obj: HObject, lam: complex) -> Morphism:
     groups = [(idx, lam * _eye_stack(len(idx), d)) for idx, d in obj.dim_groups()]
-    return Morphism(obj, obj, Fibers(groups, len(obj.dims)))
+    return Morphism(obj, obj, Fibers(groups, obj.backend.n_fibers))
 
 
 # ---------------------------------------------------------------------------
@@ -939,7 +969,7 @@ def full_subobject(obj: HObject) -> SubObject:
     if factors is not None:
         return SubObject(obj, factors[1])
     return SubObject(obj, Fibers(
-        [(idx, _eye_stack(len(idx), d)) for idx, d in obj.dim_groups()], len(obj.dims)
+        [(idx, _eye_stack(len(idx), d)) for idx, d in obj.dim_groups()], obj.backend.n_fibers
     ))
 
 
@@ -1024,6 +1054,11 @@ class FiberSVD:
         Fuglede-Kadison determinant of the map off its kernel."""
         kept = self.kept()
         return float(np.dot(weights[kept.fiber], np.log(kept.values)))
+
+    def kernel_mass(self, weights: np.ndarray, dims: np.ndarray) -> float:
+        """Trace-weighted count of the source dimensions ``dims`` (one per
+        fiber) that the kept values leave over: the mass of the kernel."""
+        return float(np.dot(weights, dims - self.rank))
 
     def kept(self) -> FiberValues:
         """The kept singular values, flat with their fibers."""

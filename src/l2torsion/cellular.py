@@ -27,6 +27,7 @@ from .backends import (
     cyclic_group_table,
     family_backend,
     family_object,
+    fiber_svds,
     group_backend,
     group_object,
     group_ring_morphism,
@@ -43,7 +44,6 @@ from .errors import (
     UnsupportedCellError,
 )
 from .extcoh import ChainComplexC
-from .spectral import singular_density
 from .torsion import TorsionReport, complex_det_element, torsion
 
 
@@ -305,10 +305,10 @@ class Representation:
         worst = 0.0
         for g in self.generators:
             m = self.image(g)
-            density = singular_density(m)
-            if density.zero_mass > 1e-10:
+            svd, w = fiber_svds(m, vectors=False), m.backend.fiber_weights
+            if svd.kernel_mass(w, m.source.dim_array) > 1e-10:
                 raise InputValidationError(f"image of token {g} is singular")
-            worst = max(worst, abs(density.log_moment()))
+            worst = max(worst, abs(svd.log_det(w)))
         return worst
 
     @property

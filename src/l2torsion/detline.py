@@ -131,8 +131,7 @@ def rebase_products(
     found = False
     for frame, e in element.word:
         if frame.label == label:
-            if not (frame.obj.backend.same_as(new_obj.backend)
-                    and frame.obj.dims == new_obj.dims):
+            if not frame.obj.same_space(new_obj):
                 raise ShapeMismatchError("rebase target lives on a different space")
             log_coeff += -(e / 2.0) * (frame.log_det_product - new_obj.log_det_product())
             word.append((Frame(new_obj, label), e))

@@ -298,8 +298,8 @@ def suite_fk_laws(seed: int = DEFAULT_SEED, pairs: int = 200) -> dict:
 
 
 def _rebuild_on_backend(m: Morphism, backend: CategoryBackend) -> Morphism:
-    src = HObject(backend, m.source.dims, m.source.products)
-    tgt = HObject(backend, m.target.dims, m.target.products)
+    src = HObject(backend, m.source.dim_array, m.source.gram)
+    tgt = HObject(backend, m.target.dim_array, m.target.gram)
     return Morphism(src, tgt, m.blocks)
 
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from .backends import (
     DEFAULT_RANK_TOL,
-    FiberValues,
     Fibers,
     HObject,
     Morphism,
@@ -80,7 +79,7 @@ def _no_columns(obj: HObject) -> Fibers:
     """Frames of the zero subspace of obj, in standardized coordinates."""
     return Fibers(
         [(idx, np.zeros((len(idx), d, 0), complex)) for idx, d in obj.dim_groups()],
-        len(obj.dims),
+        obj.backend.n_fibers,
     )
 
 
@@ -287,24 +286,24 @@ def _laplacian_torsion(std: list, dims: list, weights: np.ndarray, tol: float) -
     :class:`NotAcyclicError` when a Laplacian has a kernel.
 
     Delta_i = F_i^* F_i with F_i = [d_i; d_{i-1}^*] stacked, so
-    log Det(Delta_i) is twice the log moment of the singular values of F_i
-    (one values-only SVD per degree; nothing is squared). Values at or
-    below sqrt(tol) times the largest of their fiber count as kernel: the
-    cut tol * (largest eigenvalue) on Delta_i.
+    log Det(Delta_i) is twice the weighted log sum of the kept singular
+    values of F_i (one values-only SVD per degree; nothing is squared or
+    sorted). Values at or below sqrt(tol) times the largest of their fiber
+    count as kernel: the cut tol * (largest eigenvalue) on Delta_i.
     """
     total = 0.0
     for i, dim in enumerate(dims):
         parts = std[i:i + 1] + [b.map(hermitian) for b in std[max(i - 1, 0):i]]
-        # no adjacent differential: F_i has no rows and C^i is all kernel
-        kept = FiberValues(np.zeros(0), np.zeros(0, np.intp))
         if parts:
             f = Fibers([(idx, np.concatenate(st, axis=1)) for idx, st in align(*parts)],
                        len(weights))
-            kept = fiber_svds(f, math.sqrt(tol), vectors=False).kept()
-        density = SpectralDensity.from_fibers(kept, weights, dim)
-        if density.zero_mass > 1e-8:
+            svd = fiber_svds(f, math.sqrt(tol), vectors=False)
+            kernel, log_det = svd.kernel_mass(weights, dim), svd.log_det(weights)
+        else:  # no adjacent differential: F_i has no rows and C^i is all kernel
+            kernel, log_det = float(np.dot(weights, dim)), 0.0
+        if kernel > 1e-8:
             raise NotAcyclicError(f"Laplacian in degree {i} has a kernel")
-        total += (-1) ** i * i * density.log_moment()
+        total += (-1) ** i * i * log_det
     return total
 
 

@@ -7,6 +7,8 @@ import pytest
 
 from l2torsion.backends import (
     compose,
+    family_backend,
+    family_object,
     matrix_backend,
     matrix_morphism,
     matrix_object,
@@ -25,7 +27,7 @@ from l2torsion.detline import (
     standard_element,
     unit_element,
 )
-from l2torsion.errors import NotAnIsomorphismError, NotExactError
+from l2torsion.errors import NotAnIsomorphismError, NotExactError, ShapeMismatchError
 from l2torsion.harness import family_multiplication_map, random_invertible_morphism
 from l2torsion.spectral import fk_det_extended, log_fk_det
 
@@ -74,6 +76,28 @@ class TestRebase:
         x = standard_element(plain, "a")
         back = rebase_products(rebase_products(x, "a", other), "a", plain)
         assert back.log_coeff == pytest.approx(0.0, abs=1e-12)
+
+
+    @pytest.mark.parametrize("other", [
+        lambda: matrix_object(matrix_backend(), 3),
+        lambda: matrix_object(matrix_backend(scale=2.0), 2),
+        lambda: family_object(family_backend(uniform_interval_samples(3)), (2, 2, 1)),
+    ])
+    def test_rebase_onto_another_space_raises(self, other):
+        x = standard_element(matrix_object(matrix_backend(), 2), "a")
+        with pytest.raises(ShapeMismatchError, match="different space"):
+            rebase_products(x, "a", other())
+
+    def test_rebase_compares_family_dimensions_fiber_by_fiber(self):
+        backend = family_backend(uniform_interval_samples(3))
+        plain = family_object(backend, np.array([2, 1, 2]))
+        x = standard_element(plain, "a")
+        same = family_object(backend, [2, 1, 2], products=[np.diag([4.0, 1.0]), None, None])
+        y = rebase_products(x, "a", same)
+        assert y.log_coeff == pytest.approx(0.5 * math.log(4.0) / 3)
+        for dims in ((2, 2, 2), (1, 1, 2), (2, 1, 3)):
+            with pytest.raises(ShapeMismatchError, match="different space"):
+                rebase_products(x, "a", family_object(backend, dims))
 
 
 class TestPushForward:

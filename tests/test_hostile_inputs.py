@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from l2torsion.backends import (
+    HObject,
     family_backend,
     family_morphism,
     family_object,
@@ -248,3 +249,41 @@ def test_invalid_rank_tolerance_rejected(tol):
                 lambda: spectral_density(d, tol=tol)):
         with pytest.raises(InputValidationError, match="rank tolerance"):
             run()
+
+
+@pytest.mark.parametrize("kind, dims", [
+    ("Matrix", (-1,)),
+    ("Matrix", (2.7,)),
+    ("Matrix", (math.nan,)),
+    ("Matrix", (math.inf,)),
+    ("Matrix", ("two",)),
+    ("Matrix", (1e300,)),
+    ("Matrix", (10**30,)),
+    ("Family", (1, -2, 1, 1)),
+    ("Family", np.array([1, 2, -1, 0])),
+    ("Family", (1.0, 2.5, 1.0, 1.0)),
+    ("Family", np.array([1.0, 1.0, math.nan, 1.0])),
+    ("Family", (1, 1, -math.inf, 1)),
+])
+def test_bad_fiber_dimensions_rejected(kind, dims):
+    """A negative dimension would be summed into dim_tau (the Matrix object
+    of dimension -1 reported dim_tau -1), 2.7 must not be truncated to 2,
+    and nan must not escape as a bare ValueError."""
+    backend = (matrix_backend() if kind == "Matrix"
+               else family_backend(uniform_interval_samples(4)))
+    with pytest.raises(InputValidationError, match="fiber dimensions"):
+        HObject(backend, dims)
+
+
+def test_bad_family_dimension_rejected_by_family_object():
+    backend = family_backend(uniform_interval_samples(4))
+    for dims in (-1, 1.5, (1, 2, -3, 1)):
+        with pytest.raises(InputValidationError, match="fiber dimensions"):
+            family_object(backend, dims)
+
+
+@pytest.mark.parametrize("dims", [(2.0,), np.array([3.0]), (np.float32(0.0),), (True,)])
+def test_integral_float_dimensions_accepted(dims):
+    obj = HObject(matrix_backend(), dims)
+    assert obj.dims == (int(np.asarray(dims)[0]),)
+    assert obj.dim_tau == float(np.asarray(dims)[0])
