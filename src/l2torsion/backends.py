@@ -54,10 +54,16 @@ class BackendKind(str, Enum):
     FAMILY = "Family"
 
 
-def _check_group_table(table: np.ndarray) -> None:
-    n = table.shape[0]
-    if table.shape != (n, n):
-        raise InputValidationError("Cayley table must be square")
+def check_group_table(table) -> np.ndarray:
+    """The Cayley table as an n x n integer array; raises
+    :class:`InputValidationError` unless it is the table of a group on the
+    elements 0 .. n-1 (n >= 1) with its identity at index 0."""
+    table = _integers(table, "Cayley table entries")
+    n = len(table) if table.ndim else 0
+    if not n or table.shape != (n, n):
+        raise InputValidationError("Cayley table must be square and nonempty")
+    if table.min() < 0 or table.max() >= n:
+        raise InputValidationError("Cayley table entries must lie in 0 .. n-1")
     if not np.array_equal(table[0], np.arange(n)) or not np.array_equal(
         table[:, 0], np.arange(n)
     ):
@@ -72,6 +78,7 @@ def _check_group_table(table: np.ndarray) -> None:
     for a in range(n):
         if not np.array_equal(table[table[a]], table[a][table]):
             raise InputValidationError("Cayley table is not associative")
+    return table
 
 
 @dataclass(eq=False)
@@ -91,8 +98,7 @@ class CategoryBackend:
         if self.kind is BackendKind.FINITE_GROUP:
             if self.group_table is None:
                 raise InputValidationError("FiniteGroup backend needs a Cayley table")
-            self.group_table = np.asarray(self.group_table, dtype=int)
-            _check_group_table(self.group_table)
+            self.group_table = check_group_table(self.group_table)
         if self.kind is BackendKind.FAMILY:
             if self.sample_points is None:
                 raise InputValidationError("Family backend needs sample points")
@@ -155,7 +161,7 @@ def matrix_backend(scale: float = 1.0) -> CategoryBackend:
 
 
 def group_backend(table: Iterable, scale: float = 1.0) -> CategoryBackend:
-    return CategoryBackend(BackendKind.FINITE_GROUP, scale, np.asarray(table, int))
+    return CategoryBackend(BackendKind.FINITE_GROUP, scale, table)
 
 
 def family_backend(samples: Iterable, scale: float = 1.0) -> CategoryBackend:
@@ -475,23 +481,24 @@ def _as_gram(dims: np.ndarray, products) -> Fibers | None:
     return gram
 
 
-def _fiber_dims(dims) -> np.ndarray:
-    """``dims`` as a flat integer array; raises
-    :class:`InputValidationError` unless every entry is an integer
-    (integral floats pass; :class:`HObject` rejects negative ones)."""
-    a = np.asarray(dims).reshape(-1)
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as an integer array of their own shape; raises
+    :class:`InputValidationError`, naming ``what``, unless they form an
+    array and every entry is an integer (integral floats pass)."""
+    try:
+        a = np.asarray(values)
+    except ValueError:  # ragged nested sequences
+        raise InputValidationError(f"{what} must form an array") from None
     if a.dtype.kind in "iu":
-        a = a.astype(int, copy=False)
-    else:
-        try:
-            f = a.astype(float)
-        except (TypeError, ValueError):
-            raise InputValidationError("fiber dimensions must be integers") from None
-        # nan, inf and values past the int64 range fail the first test
-        if not np.all((np.abs(f) < 2.0**63) & (f == np.round(f))):
-            raise InputValidationError("fiber dimensions must be integers")
-        a = f.astype(int)
-    return a
+        return a.astype(int, copy=False)
+    try:
+        f = a.astype(float)
+    except (TypeError, ValueError):
+        raise InputValidationError(f"{what} must be integers") from None
+    # nan, inf and values past the int64 range fail the first test
+    if not np.all((np.abs(f) < 2.0**63) & (f == np.round(f))):
+        raise InputValidationError(f"{what} must be integers")
+    return f.astype(int)
 
 
 class HObject:
@@ -512,7 +519,8 @@ class HObject:
 
     def __init__(self, backend: CategoryBackend, dims, products=None) -> None:
         self.backend = backend
-        self.dim_array = dims = _fiber_dims(dims)
+        # HObject rejects negative dimensions below
+        self.dim_array = dims = _integers(dims, "fiber dimensions").reshape(-1)
         if len(dims) != backend.n_fibers:
             raise ShapeMismatchError("fiber count does not match backend")
         if len(dims) == 1:
@@ -753,7 +761,7 @@ def _grouped_blocks(source: HObject, target: HObject, blocks) -> Fibers:
     arrays = []
     for f, (b, expect) in enumerate(zip(blocks, zip(target.dims, source.dims))):
         b = np.asarray(b, dtype=complex)
-        if b.size == 0:
+        if b.size == 0 and 0 in expect:
             b = b.reshape(expect)
         if b.shape != expect:
             raise ShapeMismatchError(f"fiber {f}: block shape {b.shape}, expected {expect}")

@@ -22,6 +22,7 @@ from .backends import (
     HObject,
     Morphism,
     add,
+    check_group_table,
     circle_samples,
     compose,
     cyclic_group_table,
@@ -80,8 +81,16 @@ class PiSpec:
         raise InputValidationError("element without inverse in Cayley table")
 
 
+def _positive_int(n, what: str) -> int:
+    """n as an int; raises :class:`InputValidationError` unless it is a
+    positive integer."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise InputValidationError(f"{what} must be a positive integer, not {n!r}")
+    return int(n)
+
+
 def finite_pi(table) -> PiSpec:
-    arr = np.asarray(table, dtype=int)
+    arr = check_group_table(table)
     return PiSpec(tuple(tuple(int(x) for x in row) for row in arr))
 
 
@@ -130,9 +139,12 @@ class CellComplex:
         for cid, faces in self.boundaries.items():
             if cid not in self.cells:
                 raise InputValidationError(f"boundary given for unknown cell {cid!r}")
-            for fid, _ in faces:
+            for fid, ring_sum in faces:
                 if fid not in self.cells:
                     raise InputValidationError(f"unknown face {fid!r} of {cid!r}")
+                if self.pi.finite and not all(0 <= t < self.pi.order for t, _ in ring_sum):
+                    raise InputValidationError(
+                        f"a token in the boundary of {cid!r} is no group element")
                 if self.cells[fid] != self.cells[cid] - 1:
                     raise InputValidationError(
                         f"face {fid!r} of {cid!r} has the wrong dimension"
@@ -373,6 +385,7 @@ def circle_regular_representation(grid: int, scale: float = 1.0) -> Representati
     t acts fiberwise as multiplication by e^(i theta_j); the midpoint grid
     keeps every fiber of t - 1 invertible.
     """
+    grid = _positive_int(grid, "the circle grid")
     samples = circle_samples(grid)
     backend = family_backend(samples, scale)
     obj = family_object(backend, 1)
@@ -382,7 +395,7 @@ def circle_regular_representation(grid: int, scale: float = 1.0) -> Representati
         return Morphism(obj, obj, Fibers.stack((phases ** tok).reshape(-1, 1, 1)))
 
     return Representation(infinite_cyclic_pi(), obj, image_fn, (1, -1),
-                          {"regular_s1": {"grid": int(grid)}})
+                          {"regular_s1": {"grid": grid}})
 
 
 # ---------------------------------------------------------------------------
@@ -525,15 +538,16 @@ def torus_quotient_complex(p: int = 3) -> CellComplex:
     face boundary (1 - y) a + (x - 1) b needs only commutativity, which the
     quotient preserves.
     """
-    n = p * p
+    n = _positive_int(p, "p") ** 2
 
     def mul(u, v):
         return ((u // p + v // p) % p) * p + (u % p + v % p) % p
 
     table = [[mul(a, b) for b in range(n)] for a in range(n)]
     pi = finite_pi(table)
-    x = 1 * p + 0
-    y = 0 * p + 1
+    # 1 % p: for p = 1 the generators are the identity
+    x = (1 % p) * p
+    y = 1 % p
     cells = {"v": 0, "a": 1, "b": 1, "F": 2}
     boundaries = {
         "a": (("v", ((x, 1), (0, -1))),),
@@ -549,14 +563,14 @@ def lens_complex(p: int, q: int) -> CellComplex:
     Boundaries: d e1 = (t - 1) e0, d e2 = (1 + t + ... + t^{p-1}) e1,
     d e3 = (t^{q*} - 1) e2 with q* the inverse of q mod p.
     """
-    if math.gcd(p, q) != 1:
+    if math.gcd(_positive_int(p, "p"), q) != 1:
         raise InputValidationError("p and q must be coprime")
     qstar = pow(q, -1, p)
     pi = finite_pi(cyclic_group_table(p))
     cells = {"e0": 0, "e1": 1, "e2": 2, "e3": 3}
     norm = tuple((j, 1) for j in range(p))
     boundaries = {
-        "e1": (("e0", ((1, 1), (0, -1))),),
+        "e1": (("e0", ((1 % p, 1), (0, -1))),),
         "e2": (("e1", norm),),
         "e3": (("e2", ((qstar, 1), (0, -1))),),
     }

@@ -92,7 +92,7 @@ class RunConfig:
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise InputValidationError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
@@ -100,6 +100,9 @@ def _load_json(path: str) -> dict:
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         )
+    if not isinstance(data, dict):
+        raise InputValidationError(f"{path} must hold a JSON object")
+    return data
 
 
 def _write(out: str | None, name: str, text: str) -> None:

@@ -117,6 +117,39 @@ def unit_element() -> DetLineElement:
     return DetLineElement((), 0.0)
 
 
+def _rewrite(element: DetLineElement, label: str, space: HObject, replace) -> DetLineElement:
+    """Rewrite every frame ``label`` of the element; raise unless there is one.
+
+    Each such frame must live on ``space``. ``replace(frame)`` gives the
+    frames that take its place, each with the frame's exponent e, and the
+    log factor that e times is added to the coefficient. It is the word
+    rewrite that :func:`rebase_products`, :func:`push_forward` and
+    :func:`exact_sequence_iso` share.
+    """
+    word = []
+    log_coeff = element.log_coeff
+    found = False
+    for frame, e in element.word:
+        if frame.label != label:
+            word.append((frame, e))
+            continue
+        if not frame.obj.same_space(space):
+            raise ShapeMismatchError(f"frame {label!r} lives on a different space")
+        frames, log_factor = replace(frame)
+        word.extend((f, e) for f in frames)
+        log_coeff += e * log_factor
+        found = True
+    if not found:
+        raise ShapeMismatchError(f"no frame labelled {label!r} in element")
+    return DetLineElement(tuple(word), log_coeff)
+
+
+def _rebase_factor(obj: HObject, new_obj: HObject) -> float:
+    """Log factor per unit exponent of moving a frame from the product of
+    obj to that of new_obj over the same space."""
+    return -(obj.log_det_product() - new_obj.log_det_product()) / 2.0
+
+
 def rebase_products(
     element: DetLineElement, label: str, new_obj: HObject
 ) -> DetLineElement:
@@ -126,21 +159,8 @@ def rebase_products(
     basis, so changing P -> P' rescales it by exp((ldp' - ldp)/2) per unit
     exponent, where ldp is the trace-log-determinant of the product.
     """
-    word = []
-    log_coeff = element.log_coeff
-    found = False
-    for frame, e in element.word:
-        if frame.label == label:
-            if not frame.obj.same_space(new_obj):
-                raise ShapeMismatchError("rebase target lives on a different space")
-            log_coeff += -(e / 2.0) * (frame.log_det_product - new_obj.log_det_product())
-            word.append((Frame(new_obj, label), e))
-            found = True
-        else:
-            word.append((frame, e))
-    if not found:
-        raise ShapeMismatchError(f"no frame labelled {label!r} in element")
-    return DetLineElement(tuple(word), log_coeff)
+    return _rewrite(element, label, new_obj,
+                    lambda frame: ((Frame(new_obj, label),), _rebase_factor(frame.obj, new_obj)))
 
 
 def push_forward(
@@ -170,21 +190,8 @@ def push_forward(
                 "push_forward needs a unique frame over the map source"
             )
         label = candidates[0]
-    word = []
-    log_coeff = element.log_coeff
-    found = False
-    for frame, e in element.word:
-        if frame.label == label:
-            if not frame.obj.same_space(f.source):
-                raise ShapeMismatchError("frame does not live on the map source")
-            log_coeff += e * log_det
-            word.append((Frame(f.target, new_label or label), e))
-            found = True
-        else:
-            word.append((frame, e))
-    if not found:
-        raise ShapeMismatchError(f"no frame labelled {label!r} in element")
-    return DetLineElement(tuple(word), log_coeff)
+    target = Frame(f.target, new_label or label)
+    return _rewrite(element, label, f.source, lambda frame: ((target,), log_det))
 
 
 def canonical_element(f: Morphism, labels=("source", "target")) -> DetLineElement:
@@ -229,15 +236,16 @@ def check_exactness(
     alpha: Morphism,
     beta: Morphism,
     tol: float = DEFAULT_RANK_TOL,
-    alpha_svd: FiberSVD | None = None,
-    beta_svd: FiberSVD | None = None,
-):
+    vectors: bool = False,
+) -> tuple:
     """Verify sub --alpha--> total --beta--> quot is short exact; raise if not.
 
-    Reads the ranks of alpha and beta off :func:`fiber_svds` (values only),
-    or off ``alpha_svd`` / ``beta_svd`` when the caller has decomposed the
-    maps already, and compares them fiber by fiber: alpha must be injective
-    and beta surjective on every fiber, however small its trace weight.
+    Decomposes each map once with :func:`fiber_svds` (values only unless
+    ``vectors``) and compares the ranks fiber by fiber: alpha must be
+    injective and beta surjective on every fiber, however small its trace
+    weight. Returns ``(alpha_svd, beta_svd)``, so that a caller reads the
+    sections (with ``vectors``) and the Fuglede-Kadison determinants
+    (``FiberSVD.log_det``) of the pair off the same decompositions.
     """
     if not alpha.target.same_space(beta.source):
         raise ShapeMismatchError("middle objects of the sequence differ")
@@ -245,10 +253,8 @@ def check_exactness(
     scale = max(alpha.norm() * beta.norm(), 1.0)
     if largest_block_norm(comp) > 1e-8 * scale:
         raise NotExactError("composition beta alpha is not numerically zero")
-    if alpha_svd is None:
-        alpha_svd = fiber_svds(alpha, tol, vectors=False)
-    if beta_svd is None:
-        beta_svd = fiber_svds(beta, tol, vectors=False)
+    alpha_svd = fiber_svds(alpha, tol, vectors=vectors)
+    beta_svd = fiber_svds(beta, tol, vectors=vectors)
     rank_a, rank_b = alpha_svd.rank, beta_svd.rank
     if np.any(rank_a != alpha.source.dim_array):
         raise NotExactError("the sub map is not injective")
@@ -256,6 +262,7 @@ def check_exactness(
         raise NotExactError("the quotient map is not surjective")
     if np.any(rank_a != beta.source.dim_array - rank_b):
         raise NotExactError("image of the sub map does not fill ker of the quotient map")
+    return alpha_svd, beta_svd
 
 
 def _pulled_back(m: Morphism, product: HObject) -> Fibers:
@@ -314,29 +321,15 @@ def exact_sequence_iso(
     Re-express the induced frames with :func:`rebase_products` to compare
     against natively framed elements.
     """
-    beta_svd = fiber_svds(beta, tol)
-    check_exactness(alpha, beta, tol, beta_svd=beta_svd)
+    _, beta_svd = check_exactness(alpha, beta, tol, vectors=True)
     sub_obj = induced_sub_object(alpha)
     quot_obj, _ = induced_quotient_object(beta, tol, beta_svd)
-    word = []
-    log_coeff = element.log_coeff
-    found = False
-    for frame, e in element.word:
-        if frame.label == total_label:
-            if not frame.obj.same_space(alpha.target):
-                raise ShapeMismatchError("total frame lives on the wrong space")
-            if _products_differ(frame.obj, alpha.target):
-                # frame product differs from the one the maps were given;
-                # rebase onto the maps' product first so isometry holds
-                log_coeff += -(e / 2.0) * (
-                    frame.log_det_product - alpha.target.log_det_product()
-                )
-            word.append((Frame(sub_obj, sub_label), e))
-            word.append((Frame(quot_obj, quot_label), e))
-            found = True
-        else:
-            word.append((frame, e))
-    if not found:
-        raise ShapeMismatchError(f"no frame labelled {total_label!r} in element")
-    return DetLineElement(tuple(word), log_coeff)
+    new_frames = (Frame(sub_obj, sub_label), Frame(quot_obj, quot_label))
 
+    def replace(frame):
+        # a frame over other products than the maps' is rebased onto theirs
+        # first, so that the block map is an isometry
+        differ = _products_differ(frame.obj, alpha.target)
+        return new_frames, _rebase_factor(frame.obj, alpha.target) if differ else 0.0
+
+    return _rewrite(element, total_label, alpha.target, replace)

@@ -416,16 +416,15 @@ def extended_pushforward(
     exact-sequence isomorphism det(B'(+)A) = det(A') (x) det(B) in the
     native frames, which scales by the Fuglede-Kadison determinants of the
     two maps: gen(B')gen(A) = exp(log Det h - log Det g) gen(A')gen(B).
-    Both determinants and the exactness ranks are read off one values-only
-    SVD of each map. The result depends only on the class [f]: changing f
-    by beta composed with anything leaves it unchanged.
+    Both determinants and the exactness ranks are read off the values-only
+    SVDs that :func:`check_exactness` takes of the two maps. The result
+    depends only on the class [f]: changing f by beta composed with
+    anything leaves it unchanged.
     """
     check_extended_morphism(x, y, f, fprime)
     g, h = _graph_map(x, y, f, fprime)
-    g_svd = fiber_svds(g, tol, vectors=False)
-    h_svd = fiber_svds(h, tol, vectors=False)
     try:
-        check_exactness(g, h, tol, g_svd, h_svd)
+        g_svd, h_svd = check_exactness(g, h, tol)
     except NotExactError as exc:
         raise NotAnIsomorphismError(
             f"mapping sequence of [f] is not exact: {exc}"

@@ -33,7 +33,7 @@ from .cellular import (
     regular_representation,
 )
 from .detline import DetLineElement
-from .errors import InputValidationError
+from .errors import InputValidationError, ShapeMismatchError
 from .spectral import DetClassVerdict, SpectralDensity
 from .torsion import TorsionReport
 
@@ -52,8 +52,32 @@ def _matrix_to_json(m: np.ndarray) -> list:
     return [[_c2j(z) for z in row] for row in np.atleast_2d(m)]
 
 
+def _array_from_json(data, depth: int) -> np.ndarray:
+    """``depth`` levels of nested lists of numbers as a complex array;
+    raises :class:`InputValidationError` when they are ragged or hold
+    something else."""
+    def read(v, depth):
+        return _j2c(v) if depth == 0 else [read(x, depth - 1) for x in v]
+
+    try:
+        return np.array(read(data, depth), dtype=complex)
+    except (TypeError, ValueError, IndexError, KeyError):
+        raise InputValidationError(
+            f"expected {depth} levels of nested lists of numbers") from None
+
+
 def _matrix_from_json(rows) -> np.ndarray:
-    return np.array([[_j2c(v) for v in row] for row in rows], dtype=complex)
+    return _array_from_json(rows, 2)
+
+
+def _shaped(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """a, with an empty a reshaped to ``shape``; raises
+    :class:`ShapeMismatchError` unless a then has that shape."""
+    if a.size == 0 and 0 in shape:
+        a = a.reshape(shape)
+    if a.shape != shape:
+        raise ShapeMismatchError(f"data of shape {a.shape} where {shape} is declared")
+    return a
 
 
 def _finite_number(x: float):
@@ -81,7 +105,10 @@ def backend_to_json(b: CategoryBackend) -> dict:
 
 def backend_from_json(d: dict) -> CategoryBackend:
     kind = d.get("kind")
-    scale = float(d.get("scale", 1.0))
+    try:
+        scale = float(d.get("scale", 1.0))
+    except (TypeError, ValueError):
+        raise InputValidationError("the trace scale must be a number") from None
     if kind == "Matrix":
         return matrix_backend(scale)
     if kind == "FiniteGroup":
@@ -96,6 +123,10 @@ def backend_from_json(d: dict) -> CategoryBackend:
 
 
 def morphism_to_json(m: Morphism) -> dict:
+    """The morphism as JSON: its backend, the dimensions of source and
+    target (ranks over the group ring for FiniteGroup), the blocks, and
+    ``source_products`` / ``target_products``, one matrix per fiber, for a
+    side whose products are not all standard."""
     b = m.backend
     out = {
         "backend": backend_to_json(b),
@@ -114,32 +145,55 @@ def morphism_to_json(m: Morphism) -> dict:
         out["target_dims"] = [m.target.dims[0] // n]
     else:
         out["data"] = _matrix_to_json(m.blocks[0])
+    for side, obj in (("source", m.source), ("target", m.target)):
+        if obj.gram is not None:
+            out[f"{side}_products"] = [_matrix_to_json(p) for p in obj.gram]
     return out
 
 
-def morphism_from_json(d: dict) -> Morphism:
-    backend = backend_from_json(d["backend"])
-    data = d["data"]
-    if backend.kind is BackendKind.MATRIX:
-        blk = _matrix_from_json(data)
-        src = HObject(backend, (blk.shape[1],))
-        tgt = HObject(backend, (blk.shape[0],))
-        return Morphism(src, tgt, (blk,))
+def _object_from_json(backend: CategoryBackend, d: dict, side: str) -> HObject:
+    """The object ``side`` ("source" or "target") of a morphism's JSON."""
+    dims = d.get(f"{side}_dims")
+    if not isinstance(dims, list) or not all(
+        isinstance(k, int) and not isinstance(k, bool) for k in dims
+    ):
+        raise InputValidationError(f"a morphism needs '{side}_dims', a list of integers")
     if backend.kind is BackendKind.FINITE_GROUP:
-        coeffs = np.array(
-            [[[_j2c(v) for v in entry] for entry in row] for row in data],
-            dtype=complex,
-        )
+        dims = [k * backend.group_order for k in dims]
+    obj = HObject(backend, dims)
+    products = d.get(f"{side}_products")
+    if products is None:
+        return obj
+    if not isinstance(products, list) or len(products) != backend.n_fibers:
+        raise InputValidationError(f"'{side}_products' must list one matrix per fiber")
+    return obj.with_products([
+        None if p is None else _shaped(_matrix_from_json(p), (k, k))
+        for p, k in zip(products, obj.dims)
+    ])
+
+
+def morphism_from_json(d: dict) -> Morphism:
+    """Inverse of :func:`morphism_to_json`. The declared dimensions fix the
+    shape of every block, empty ones included, and the products pass the
+    checks of :class:`HObject`."""
+    if "backend" not in d or "data" not in d:
+        raise InputValidationError("a morphism needs 'backend' and 'data'")
+    backend = backend_from_json(d["backend"])
+    src = _object_from_json(backend, d, "source")
+    tgt = _object_from_json(backend, d, "target")
+    data = d["data"]
+    if backend.kind is BackendKind.FINITE_GROUP:
         n = backend.group_order
-        src = HObject(backend, (coeffs.shape[1] * n,))
-        tgt = HObject(backend, (coeffs.shape[0] * n,))
-        return Morphism(
-            src, tgt, (expand_group_matrix(np.asarray(backend.group_table), coeffs),)
-        )
-    blocks = tuple(_matrix_from_json(blk) for blk in data)
-    src = HObject(backend, tuple(b.shape[1] for b in blocks))
-    tgt = HObject(backend, tuple(b.shape[0] for b in blocks))
-    return Morphism(src, tgt, blocks)
+        coeffs = _shaped(_array_from_json(data, 3), (tgt.dims[0] // n, src.dims[0] // n, n))
+        return Morphism(src, tgt, (expand_group_matrix(backend.group_table, coeffs),))
+    if backend.kind is BackendKind.MATRIX:
+        data = [data]
+    if not isinstance(data, list) or len(data) != backend.n_fibers:
+        raise InputValidationError("a morphism needs one block per fiber")
+    return Morphism(src, tgt, tuple(
+        _shaped(_matrix_from_json(blk), shape)
+        for blk, shape in zip(data, zip(tgt.dims, src.dims))
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +282,19 @@ def cell_complex_from_json(d: dict) -> CellComplex:
         pi = infinite_cyclic_pi()
     else:
         raise InputValidationError("pi must be 'finite' or 'infinite_cyclic'")
-    cells = {cid: int(dim) for dim, cid in d["cells"]}
-    boundaries = {
-        cid: tuple(
-            (fid, tuple((int(tok), coeff) for tok, coeff in s))
-            for fid, s in faces
-        )
-        for cid, faces in d.get("boundaries", {}).items()
-    }
+    try:
+        cells = {cid: int(dim) for dim, cid in d["cells"]}
+        boundaries = {
+            cid: tuple(
+                (fid, tuple((int(tok), c if isinstance(c, int) else float(c)) for tok, c in s))
+                for fid, s in faces
+            )
+            for cid, faces in d.get("boundaries", {}).items()
+        }
+    except (KeyError, TypeError, ValueError, AttributeError):
+        raise InputValidationError(
+            "a cell complex needs 'cells' as [dimension, id] pairs and 'boundaries' "
+            "as lists of [face, [[token, coefficient], ...]]") from None
     k = CellComplex(cells, boundaries, pi)
     if "chi" in d and int(d["chi"]) != k.euler_characteristic:
         raise InputValidationError(
@@ -267,8 +326,10 @@ def representation_from_json(d: dict, grid: int | None = None) -> Representation
     pi_d = d.get("pi", {})
     images = d.get("images", {})
     if "regular_s1" in images:
-        n = int(grid or images["regular_s1"].get("grid", 1024))
-        return circle_regular_representation(n)
+        spec = images["regular_s1"]
+        if not isinstance(spec, dict):
+            raise InputValidationError("'regular_s1' must be an object")
+        return circle_regular_representation(grid or spec.get("grid", 1024))
     if "finite" in pi_d:
         pi = finite_pi(pi_d["finite"])
         if images.get("regular"):
@@ -276,6 +337,8 @@ def representation_from_json(d: dict, grid: int | None = None) -> Representation
         mats = [_matrix_from_json(m) for m in images.get("elements", [])]
         return matrix_representation(pi, mats)
     if pi_d.get("infinite_cyclic"):
+        if "t" not in images:
+            raise InputValidationError("an infinite cyclic representation needs the image of 't'")
         return matrix_representation(
             infinite_cyclic_pi(), {1: _matrix_from_json(images["t"])}
         )

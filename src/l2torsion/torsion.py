@@ -640,12 +640,8 @@ def _les_connecting_iso(L, M, N, alpha, beta, tol, harmonic) -> LesIsomorphism:
         raise InputValidationError("the three complexes must share their length")
     _is_chain_map(alpha, L, M)
     _is_chain_map(beta, M, N)
-    # each map is decomposed once: the exactness check, the sections and the
-    # base change all read the same SVDs
-    svds = [(fiber_svds(a, tol), fiber_svds(b, tol)) for a, b in zip(alpha, beta)]
-    for a, b, (sa, sb) in zip(alpha, beta, svds):
-        check_exactness(a, b, tol, sa, sb)
-
+    # the sections and the base change read the SVDs of the exactness check
+    svds = [check_exactness(a, b, tol, vectors=True) for a, b in zip(alpha, beta)]
     hl, hm, hn = harmonic
 
     alpha_pinv = [orthogonal_section(a, tol, sa) for a, (sa, _) in zip(alpha, svds)]

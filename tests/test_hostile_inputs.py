@@ -7,6 +7,9 @@ right answer.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from l2torsion.backends import (
     family_morphism,
     family_object,
     frobenius,
+    group_backend,
     identity_morphism,
     largest_norm,
     matrix_backend,
@@ -24,12 +28,27 @@ from l2torsion.backends import (
     matrix_object,
     uniform_interval_samples,
 )
-from l2torsion.cellular import cochain_complex, cyclic_character_representation, lens_complex
+from l2torsion.cellular import (
+    circle_regular_representation,
+    cochain_complex,
+    combinatorial_torsion,
+    cyclic_character_representation,
+    finite_pi,
+    lens_complex,
+    regular_representation,
+    torus_quotient_complex,
+)
 from l2torsion.cli import EXIT_INVALID, main
 from l2torsion.errors import InputValidationError, NotAChainComplexError, ShapeMismatchError
 from l2torsion.extcoh import ChainComplexC, cohomology, direct_sum_complexes
 from l2torsion.harness import family_multiplication_map
-from l2torsion.serialize import morphism_to_json
+from l2torsion.serialize import (
+    cell_complex_from_json,
+    cell_complex_to_json,
+    morphism_from_json,
+    morphism_to_json,
+    representation_from_json,
+)
 from l2torsion.spectral import SpectralDensity, classify_determinant, spectral_density
 from l2torsion.torsion import cone_torsion_check, torsion, torsion_acyclic
 
@@ -287,3 +306,111 @@ def test_integral_float_dimensions_accepted(dims):
     obj = HObject(matrix_backend(), dims)
     assert obj.dims == (int(np.asarray(dims)[0]),)
     assert obj.dim_tau == float(np.asarray(dims)[0])
+
+
+def _matrix_json(**changes):
+    obj = matrix_object(matrix_backend(), 2)
+    payload = morphism_to_json(matrix_morphism(obj, obj, np.diag([3.0, 2.0])))
+    payload.update(changes)
+    return payload
+
+
+@pytest.mark.parametrize("payload", [
+    _matrix_json(data=[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]),  # ragged rows
+    _matrix_json(data=[[1.0, "x"], [0.0, 1.0]]),
+    _matrix_json(backend={"kind": "Matrix", "scale": "x"}),
+    _matrix_json(source_dims=[2.5]),
+    _matrix_json(source_dims=None),
+    _matrix_json(source_products=[[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]]),
+    _matrix_json(target_products=[None, None]),
+])
+def test_malformed_morphism_json_rejected(payload):
+    with pytest.raises(InputValidationError):
+        morphism_from_json(json.loads(json.dumps(payload)))
+
+
+@pytest.mark.parametrize("payload", [
+    {"pi": {"infinite_cyclic": True}, "images": {}},
+    {"pi": {"infinite_cyclic": True}, "images": {"regular_s1": {"grid": 0}}},
+    {"pi": {"infinite_cyclic": True}, "images": {"regular_s1": {"grid": -3}}},
+    {"pi": {"infinite_cyclic": True}, "images": {"regular_s1": {"grid": 2.5}}},
+    {"pi": {"finite": [[0, 1], [1, 0.5]]}, "images": {"regular": True}},
+])
+def test_malformed_representation_json_rejected(payload):
+    with pytest.raises(InputValidationError):
+        representation_from_json(payload)
+
+
+def test_cli_rejects_ragged_morphism_without_traceback(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(_matrix_json(data=[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]])))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "l2torsion.cli", "fkdet", "--morphism", str(path)],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == EXIT_INVALID
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("table", [
+    [[0, 1], [1, 0.5]],  # was truncated to Z/2
+    [[0, 1], [1]],
+    [[0, 1], [1, 2]],
+    [[0, 1], [1, -1]],
+    np.zeros((0, 0), int),
+    [[0, "a"], [1, 0]],
+    [[0, 1], [1, math.nan]],
+])
+def test_bad_cayley_tables_rejected(table):
+    with pytest.raises(InputValidationError, match="Cayley table"):
+        group_backend(table)
+    with pytest.raises(InputValidationError, match="Cayley table"):
+        finite_pi(table)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: circle_regular_representation(0),
+    lambda: circle_regular_representation(-3),
+    lambda: circle_regular_representation(2.5),
+    lambda: lens_complex(0, 1),
+    lambda: lens_complex(-3, 1),
+    lambda: torus_quotient_complex(0),
+])
+def test_bad_cellular_sizes_rejected(build):
+    with pytest.raises(InputValidationError, match="positive integer"):
+        build()
+
+
+def test_trivial_group_complexes():
+    """p = 1 gives the trivial group: L(1, 1) is S^3 and the torus keeps
+    its Betti numbers 1, 2, 1."""
+    for k, betti in ((lens_complex(1, 1), [1, 0, 0, 1]), (torus_quotient_complex(1), [1, 2, 1])):
+        report = combinatorial_torsion(k, regular_representation(k.pi))
+        assert report.betti == pytest.approx(betti)
+
+
+def test_empty_block_of_a_nonempty_fiber_rejected():
+    backend = family_backend(uniform_interval_samples(2))
+    obj = family_object(backend, (1, 2))
+    with pytest.raises(ShapeMismatchError):
+        family_morphism(obj, obj, [np.eye(1), np.zeros(0)])
+
+
+def _lens_json(edit):
+    payload = cell_complex_to_json(lens_complex(5, 1))
+    edit(payload)
+    return json.loads(json.dumps(payload))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.pop("cells"),
+    lambda d: d["cells"].append(["x", "e4"]),
+    lambda d: d["boundaries"]["e1"][0][1][0].__setitem__(0, 9),  # token outside Z/5
+    lambda d: d["boundaries"]["e1"][0][1][0].__setitem__(1, "x"),
+    lambda d: d["boundaries"].__setitem__("e1", 3),
+])
+def test_malformed_cell_complex_json_rejected(edit):
+    with pytest.raises(InputValidationError):
+        cell_complex_from_json(_lens_json(edit))
