@@ -115,7 +115,8 @@ class CategoryBackend:
 
     @property
     def group_order(self) -> int:
-        assert self.group_table is not None
+        if self.group_table is None:
+            raise BackendMismatchError("only a FiniteGroup backend has a group order")
         return self.group_table.shape[0]
 
     @property
@@ -189,10 +190,10 @@ def dihedral_group_table(n: int) -> np.ndarray:
     return table
 
 
-def uniform_interval_samples(n: int, a: float = 0.0, b: float = 1.0) -> np.ndarray:
-    """Midpoint quadrature grid on (a, b] with total measure b - a."""
-    pts = a + (b - a) * (np.arange(n) + 0.5) / n
-    w = np.full(n, (b - a) / n)
+def uniform_interval_samples(n: int) -> np.ndarray:
+    """Midpoint quadrature grid on (0, 1] with total measure 1."""
+    pts = (np.arange(n) + 0.5) / n
+    w = np.full(n, 1.0 / n)
     return np.stack([pts, w], axis=1)
 
 
@@ -540,14 +541,6 @@ class HObject:
         return tuple(self.dim_array.tolist())
 
     @property
-    def products(self) -> tuple:
-        """Per fiber, the product operator; None on every fiber when all are
-        standard."""
-        if self.gram is None:
-            return (None,) * self.backend.n_fibers
-        return tuple(self.gram)
-
-    @property
     def dim_tau(self) -> float:
         if len(self.dim_array) == 1:
             return float(self.backend.fiber_weights[0] * self.uniform_dim)
@@ -619,18 +612,11 @@ def matrix_object(backend: CategoryBackend, n: int, product=None) -> HObject:
     return HObject(backend, (n,), prods)
 
 
-def group_object(backend: CategoryBackend, rank: int, product=None) -> HObject:
-    """rank copies of l2(G); ``product`` may be a rank x rank group-ring matrix."""
+def group_object(backend: CategoryBackend, rank: int) -> HObject:
+    """rank copies of l2(G) with the standard product."""
     if backend.kind is not BackendKind.FINITE_GROUP:
         raise BackendMismatchError("group_object needs a FiniteGroup backend")
-    n = backend.group_order
-    prods = None
-    if product is not None:
-        product = np.asarray(product, complex)
-        if product.ndim == 3:
-            product = expand_group_matrix(backend.group_table, product)
-        prods = (product,)
-    return HObject(backend, (rank * n,), prods)
+    return HObject(backend, (rank * backend.group_order,))
 
 
 def family_object(backend: CategoryBackend, dims, products=None) -> HObject:
@@ -836,6 +822,22 @@ def largest_norm(stack: np.ndarray) -> float:
 def largest_block_norm(m: Morphism) -> float:
     """Largest Frobenius norm of a block of m."""
     return max((largest_norm(b) for _, b in m.blocks.groups), default=0.0)
+
+
+def commutes(a: Morphism, b: Morphism, c: Morphism, d: Morphism) -> bool:
+    """Whether |ab - cd|_F <= 1e-8 max(|a| |b|, |c| |d|, 1e-300) on every fiber's
+    aligned blocks, |.| being :meth:`Morphism.norm`. Raises
+    :class:`ShapeMismatchError` unless ab and cd map between the same spaces,
+    and :class:`InputValidationError` when they overflow, as their Morphisms would."""
+    if not (b.target.same_space(a.source) and d.target.same_space(c.source)
+            and b.source.same_space(d.source) and a.target.same_space(c.target)):
+        raise ShapeMismatchError("a b and c d are no maps between the same spaces")
+    bound = max(a.norm() * b.norm(), c.norm() * d.norm(), 1e-300)
+    dev = max(largest_norm(w @ x - y @ z)
+              for _, (w, x, y, z) in align(a.blocks, b.blocks, c.blocks, d.blocks))
+    if not math.isfinite(dev):
+        raise InputValidationError("morphism blocks must be finite")
+    return dev <= 1e-8 * bound
 
 
 def compose(f: Morphism, g: Morphism) -> Morphism:

@@ -71,6 +71,10 @@ class PiSpec:
             return int(self.table[a][b])
         return a + b
 
+    def is_element(self, t) -> bool:
+        """Whether t is an integer token, in 0..order-1 for a finite group."""
+        return _is_int(t) and (not self.finite or 0 <= t < self.order)
+
     def inv(self, a: int) -> int:
         if not self.finite:
             return -a
@@ -81,10 +85,15 @@ class PiSpec:
         raise InputValidationError("element without inverse in Cayley table")
 
 
+def _is_int(n) -> bool:
+    """Whether n is a Python or numpy integer (a bool is not)."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def _positive_int(n, what: str) -> int:
     """n as an int; raises :class:`InputValidationError` unless it is a
     positive integer."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InputValidationError(f"{what} must be a positive integer, not {n!r}")
     return int(n)
 
@@ -125,10 +134,10 @@ def ring_add(a: GroupRingSum, b: GroupRingSum) -> GroupRingSum:
 class CellComplex:
     """Cells with group-ring boundary data over the fundamental group.
 
-    ``cells`` maps a cell id to its dimension (insertion order fixes the
-    basis order within each dimension). ``boundaries[id]`` lists
-    (face_id, group-ring sum) pairs describing the boundary of the chosen
-    lift of the cell.
+    ``cells`` maps a cell id to its dimension, a nonnegative integer
+    (insertion order fixes the basis order within each dimension).
+    ``boundaries[id]`` lists (face_id, group-ring sum) pairs describing the
+    boundary of the chosen lift of the cell, with tokens in ``pi``.
     """
 
     cells: dict
@@ -136,13 +145,16 @@ class CellComplex:
     pi: PiSpec
 
     def __post_init__(self) -> None:
+        for cid, dim in self.cells.items():
+            if not _is_int(dim) or dim < 0:
+                raise InputValidationError(f"cell {cid!r} has dimension {dim!r}, not an int >= 0")
         for cid, faces in self.boundaries.items():
             if cid not in self.cells:
                 raise InputValidationError(f"boundary given for unknown cell {cid!r}")
             for fid, ring_sum in faces:
                 if fid not in self.cells:
                     raise InputValidationError(f"unknown face {fid!r} of {cid!r}")
-                if self.pi.finite and not all(0 <= t < self.pi.order for t, _ in ring_sum):
+                if not all(self.pi.is_element(t) for t, _ in ring_sum):
                     raise InputValidationError(
                         f"a token in the boundary of {cid!r} is no group element")
                 if self.cells[fid] != self.cells[cid] - 1:
@@ -183,12 +195,16 @@ def re_lift(k: CellComplex, lifts: dict) -> CellComplex:
 
     Replacing the lift of cell e by g_e times it transforms each boundary
     entry a_{ef} into g_e * a_{ef} * g_f^{-1}; the torsion of a unimodular
-    representation is invariant under this change.
+    representation is invariant under this change. ``lifts`` maps cells of
+    k to group elements g_e; a cell it omits keeps its lift.
     """
     pi = k.pi
+    bad = {cid: g for cid, g in lifts.items() if cid not in k.cells or not pi.is_element(g)}
+    if bad:
+        raise InputValidationError(f"lifts must map cells to group elements, not {bad!r}")
     new_boundaries = {}
     for cid, faces in k.boundaries.items():
-        ge = ((lifts.get(cid, 0 if pi.finite else 0), 1),)
+        ge = ((lifts.get(cid, 0), 1),)
         out = []
         for fid, s in faces:
             gf_inv = ((pi.inv(lifts.get(fid, 0)), 1),)
@@ -291,7 +307,9 @@ class Representation:
             total = term if total is None else add(total, term)
         return None if total is None else total.blocks
 
-    def check_relations(self, tol: float = 1e-10) -> None:
+    def check_relations(self) -> None:
+        """Raise :class:`InputValidationError` unless the images obey the
+        group law within 1e-10 (relative to max(1, |g(a)|) for g(ab))."""
         if self.pi.finite:
             n = self.pi.order
             for a in range(n):
@@ -300,7 +318,7 @@ class Representation:
                     dev = largest_block_norm(add(
                         self.image(self.pi.mul(a, b)), scale_morphism(compose(ga, gb), -1.0)
                     ))
-                    if dev > tol * max(1.0, largest_block_norm(ga)):
+                    if dev > 1e-10 * max(1.0, largest_block_norm(ga)):
                         raise InputValidationError(
                             f"representation violates the group law at ({a},{b})"
                         )
@@ -309,7 +327,7 @@ class Representation:
             dev = largest_block_norm(
                 add(compose(t, ti), scale_morphism(identity_morphism(t.source), -1.0))
             )
-            if dev > tol:
+            if dev > 1e-10:
                 raise InputValidationError("images of t and t^-1 are not inverse")
 
     def unimodular_defect(self) -> float:
@@ -328,15 +346,15 @@ class Representation:
         return self.unimodular_defect() < 1e-8
 
 
-def matrix_representation(pi: PiSpec, images: dict | list, scale: float = 1.0,
+def matrix_representation(pi: PiSpec, images: dict | list,
                           descriptor: dict | None = None) -> Representation:
-    """Matrix-backend representation.
+    """Matrix-backend representation, with the trace of unit scale.
 
     For a finite group, ``images`` is a list of matrices indexed by element;
     for the infinite cyclic group, ``images`` maps token 1 to the image of t
     (powers and inverses are derived).
     """
-    backend = matrix_backend(scale)
+    backend = matrix_backend()
     if pi.finite:
         mats = [np.asarray(m, complex) for m in images]
         if len(mats) != pi.order:
@@ -351,7 +369,7 @@ def matrix_representation(pi: PiSpec, images: dict | list, scale: float = 1.0,
                               descriptor or {})
     t = np.asarray(images[1] if isinstance(images, dict) else images, complex)
     n = t.shape[0]
-    obj = matrix_object(matrix_backend(scale), n)
+    obj = matrix_object(backend, n)
     t_inv = np.linalg.inv(t)
 
     def image_fn(tok: int) -> Morphism:
@@ -361,12 +379,13 @@ def matrix_representation(pi: PiSpec, images: dict | list, scale: float = 1.0,
     return Representation(pi, obj, image_fn, (1, -1), descriptor or {})
 
 
-def regular_representation(pi: PiSpec, scale: float = 1.0) -> Representation:
-    """Left regular representation of a finite group on l2 of the group."""
+def regular_representation(pi: PiSpec) -> Representation:
+    """Left regular representation of a finite group on l2 of the group, with
+    the trace of unit scale."""
     if not pi.finite:
         raise InputValidationError("use circle_regular_representation for t")
     table = np.asarray(pi.table, int)
-    backend = group_backend(table, scale)
+    backend = group_backend(table)
     obj = group_object(backend, 1)
 
     def image_fn(tok: int) -> Morphism:
@@ -378,16 +397,16 @@ def regular_representation(pi: PiSpec, scale: float = 1.0) -> Representation:
                           {"regular": True})
 
 
-def circle_regular_representation(grid: int, scale: float = 1.0) -> Representation:
+def circle_regular_representation(grid: int) -> Representation:
     """Regular representation of the infinite cyclic group, realized as the
-    function model over the circle on a midpoint sample grid.
+    function model over the circle on a midpoint sample grid of measure 1.
 
     t acts fiberwise as multiplication by e^(i theta_j); the midpoint grid
     keeps every fiber of t - 1 invertible.
     """
     grid = _positive_int(grid, "the circle grid")
     samples = circle_samples(grid)
-    backend = family_backend(samples, scale)
+    backend = family_backend(samples)
     obj = family_object(backend, 1)
     phases = np.exp(1j * samples[:, 0])
 
@@ -487,16 +506,15 @@ def subdivision_invariance_check(
     k: CellComplex,
     rep: Representation,
     depth: int,
-    seed: int = 0,
     agree_tol: float = 1e-9,
-    epsilon: float | None = None,
 ) -> SubdivisionReport:
-    """Compare torsion across rounds of random elementary 1-cell subdivisions."""
-    rng = np.random.default_rng(seed)
+    """Compare torsion across ``depth`` >= 1 rounds of 1-cell subdivisions drawn with seed 0."""
+    depth = _positive_int(depth, "the subdivision depth")
+    rng = np.random.default_rng(0)
     logs = []
     current = k
     for _ in range(depth + 1):
-        report = combinatorial_torsion(current, rep, epsilon=epsilon)
+        report = combinatorial_torsion(current, rep)
         if report.scalar_value is None:
             logs.append(report.combined.log_coeff)
         else:

@@ -49,10 +49,6 @@ class Frame:
     obj: HObject
     label: str
 
-    @property
-    def log_det_product(self) -> float:
-        return self.obj.log_det_product()
-
     def matches(self, other: "Frame") -> bool:
         return self.label == other.label and self.obj.same_space(other.obj)
 
@@ -166,44 +162,46 @@ def rebase_products(
 def push_forward(
     element: DetLineElement,
     f: Morphism,
-    label: str | None = None,
     new_label: str | None = None,
     tol: float = DEFAULT_RANK_TOL,
 ) -> DetLineElement:
-    """Transport the factor ``label`` of the element along the weak iso f.
+    """Transport the element's one frame over f.source along the weak iso f.
 
-    Replaces the frame over f.source by a frame over f.target, rescaling the
-    coefficient by the (extended) Fuglede-Kadison determinant of f raised to
-    the frame exponent, as :func:`fk_det_extended` certifies it. The
-    coefficient becomes infinite when the certificate is Divergent and NaN
-    when it is Inconclusive, keeping the element well formed.
+    Replaces it by a frame over f.target (labelled ``new_label`` or as
+    before), rescaling the coefficient by the (extended) Fuglede-Kadison
+    determinant of f raised to the frame exponent, as :func:`fk_det_extended`
+    certifies it. The coefficient becomes infinite when the certificate is
+    Divergent and NaN when it is Inconclusive, keeping the element well formed.
     """
     log_det, verdict = fk_det_extended(f, tol)
     if not (verdict.injective and verdict.dense_image):
         raise NotAnIsomorphismError("push_forward needs an injective dense map")
-    if label is None:
-        candidates = [
-            fr.label for fr, _ in element.word if fr.obj.same_space(f.source)
-        ]
-        if len(candidates) != 1:
-            raise ShapeMismatchError(
-                "push_forward needs a unique frame over the map source"
-            )
-        label = candidates[0]
+    candidates = [fr.label for fr, _ in element.word if fr.obj.same_space(f.source)]
+    if len(candidates) != 1:
+        raise ShapeMismatchError("push_forward needs a unique frame over the map source")
+    label = candidates[0]
     target = Frame(f.target, new_label or label)
     return _rewrite(element, label, f.source, lambda frame: ((target,), log_det))
 
 
-def canonical_element(f: Morphism, labels=("source", "target")) -> DetLineElement:
-    """Canonical element of det(source)^-1 (x) det(target) attached to a weak iso.
+def canonical_element(f: Morphism) -> DetLineElement:
+    """Canonical element of det(source)^-1 (x) det(target) attached to a weak
+    iso, in the frames labelled "source" and "target".
 
     Its coefficient is the extended Fuglede-Kadison determinant of f; the
     element degenerates (log-coefficient -inf or NaN) exactly when the
     determinant certificate is not Convergent.
     """
     log_det, verdict = fk_det_extended(f)
-    word = ((Frame(f.source, labels[0]), -1), (Frame(f.target, labels[1]), 1))
+    word = ((Frame(f.source, "source"), -1), (Frame(f.target, "target"), 1))
     return DetLineElement(word, log_det)
+
+
+def alternating_word(spaces, prefix: str) -> tuple:
+    """The word of (x)_i det(spaces[i])^((-1)^i): in order of i, the frame
+    ``prefix``i of each space of positive dimension with exponent (-1)^i."""
+    return tuple((Frame(obj, f"{prefix}{i}"), (-1) ** i)
+                 for i, obj in enumerate(spaces) if obj.dim_tau > 0)
 
 
 def orthogonal_section(
@@ -307,14 +305,13 @@ def exact_sequence_iso(
     beta: Morphism,
     element: DetLineElement,
     total_label: str = "total",
-    sub_label: str = "sub",
-    quot_label: str = "quot",
     tol: float = DEFAULT_RANK_TOL,
 ) -> DetLineElement:
     """Canonical iso det(total) -> det(sub) (x) det(quot) for a short exact
     sequence sub --alpha--> total --beta--> quot.
 
-    The sub object is re-equipped with the product pulled back along alpha
+    Every frame ``total_label`` becomes the frames "sub" and "quot". The
+    sub object is re-equipped with the product pulled back along alpha
     and the quotient with the product carried over from the orthocomplement
     of ker(beta); in those induced frames the assembled block map
     (alpha, section) is a product-isometry, so the coefficient is unchanged.
@@ -324,7 +321,7 @@ def exact_sequence_iso(
     _, beta_svd = check_exactness(alpha, beta, tol, vectors=True)
     sub_obj = induced_sub_object(alpha)
     quot_obj, _ = induced_quotient_object(beta, tol, beta_svd)
-    new_frames = (Frame(sub_obj, sub_label), Frame(quot_obj, quot_label))
+    new_frames = (Frame(sub_obj, "sub"), Frame(quot_obj, "quot"))
 
     def replace(frame):
         # a frame over other products than the maps' is rebased onto theirs

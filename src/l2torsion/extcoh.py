@@ -32,6 +32,7 @@ from .backends import (
     add,
     align,
     block_matrix,
+    commutes,
     complement,
     compose,
     direct_sum_morphisms,
@@ -40,7 +41,6 @@ from .backends import (
     frobenius,
     full_subobject,
     kernel_and_image_closure,
-    largest_block_norm,
     largest_norm,
     scale_morphism,
     subobject_from_std_frames,
@@ -138,19 +138,18 @@ def _extended(alpha: Morphism, svd) -> ExtendedObject:
     return ExtendedObject(alpha_inj, coker, density, classify_determinant(density))
 
 
-def det_line_of_extended(
-    x: ExtendedObject, target_label: str = "target", source_label: str = "source"
-) -> DetLineElement:
-    """Unit element of det(X) = det(A) (x) det(A')^* in the declared frames.
+def det_line_of_extended(x: ExtendedObject) -> DetLineElement:
+    """Unit element of det(X) = det(A) (x) det(A')^* in the frames labelled
+    "target" (over A) and "source" (over A').
 
     For projective objects (zero source) only the target frame survives, so
     the line reduces to det(A).
     """
     word = []
     if x.target.dim_tau > 0:
-        word.append((Frame(x.target, target_label), 1))
+        word.append((Frame(x.target, "target"), 1))
     if x.source.dim_tau > 0:
-        word.append((Frame(x.source, source_label), -1))
+        word.append((Frame(x.source, "source"), -1))
     return DetLineElement(tuple(word), 0.0)
 
 
@@ -384,10 +383,9 @@ def determinant_class_test(c: ChainComplexC, tol: float = DEFAULT_RANK_TOL) -> l
 def check_extended_morphism(
     x: ExtendedObject, y: ExtendedObject, f: Morphism, fprime: Morphism
 ) -> None:
-    lhs = compose(f, x.alpha)
-    rhs = compose(y.alpha, fprime)
-    bound = max(f.norm() * x.alpha.norm(), y.alpha.norm() * fprime.norm(), 1e-300)
-    if largest_block_norm(add(lhs, scale_morphism(rhs, -1.0))) > 1e-8 * bound:
+    """Raise :class:`ShapeMismatchError` unless f alpha = beta f'
+    numerically (:func:`commutes`), with alpha and beta the maps of x and y."""
+    if not commutes(f, x.alpha, y.alpha, fprime):
         raise ShapeMismatchError("the pair (f, f') does not intertwine alpha, beta")
 
 
@@ -405,11 +403,12 @@ def extended_pushforward(
     f: Morphism,
     fprime: Morphism,
     element: DetLineElement,
-    labels=("target", "source"),
-    new_labels=("target", "source"),
     tol: float = DEFAULT_RANK_TOL,
 ) -> DetLineElement:
     """Push an element of det(X) to det(Y) along an extended-category iso [f].
+
+    The frames "target" over A and "source" over A' (the frames of
+    :func:`det_line_of_extended`) move to B and B'; other frames stay.
 
     The mapping sequence A' --g--> B'(+)A --h--> B must be exact (that is
     what makes [f] invertible); the determinant line map is then the
@@ -432,23 +431,19 @@ def extended_pushforward(
     w = g.backend.fiber_weights
     log_factor = h_svd.log_det(w) - g_svd.log_det(w)
 
-    word = []
-    log_coeff = element.log_coeff + log_factor
-    seen = {labels[0]: False, labels[1]: x.source.dim_tau == 0}
+    word, seen = [], {"source"} if x.source.dim_tau == 0 else set()
     for frame, e in element.word:
-        if frame.label == labels[0] and frame.obj.same_space(x.target):
-            if y.target.dim_tau > 0:
-                word.append((Frame(y.target, new_labels[0]), e))
-            seen[labels[0]] = True
-        elif frame.label == labels[1] and frame.obj.same_space(x.source):
-            if y.source.dim_tau > 0:
-                word.append((Frame(y.source, new_labels[1]), e))
-            seen[labels[1]] = True
+        for label, old, new in (("target", x.target, y.target), ("source", x.source, y.source)):
+            if frame.label == label and frame.obj.same_space(old):
+                seen.add(label)
+                if new.dim_tau > 0:
+                    word.append((Frame(new, label), e))
+                break
         else:
             word.append((frame, e))
-    if not all(seen.values()):
+    if len(seen) < 2:
         raise ShapeMismatchError("element does not carry the frames of det(X)")
-    return DetLineElement(tuple(word), log_coeff)
+    return DetLineElement(tuple(word), element.log_coeff + log_factor)
 
 
 @dataclass
@@ -463,7 +458,6 @@ class KernelCokernelLines:
 
     kernel: ExtendedObject
     cokernel: ExtendedObject
-    log_factor: float = 0.0
 
 
 def kernel_cokernel_lines(

@@ -51,13 +51,13 @@ DEFAULT_SEED = 7
 # random objects
 
 
-def random_invertible(rng, n: int, smin: float = 0.5, smax: float = 2.0):
-    """Random complex n x n matrix with controlled singular values."""
+def random_invertible(rng, n: int):
+    """Random complex n x n matrix with singular values uniform in [0.5, 2]."""
     if n == 0:
         return np.zeros((0, 0), complex)
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     u, _, vh = np.linalg.svd(a)
-    s = rng.uniform(smin, smax, size=n)
+    s = rng.uniform(0.5, 2.0, size=n)
     return (u * s) @ vh
 
 
@@ -127,13 +127,12 @@ def random_acyclic_complex(rng, length: int = 4, max_rank: int = 3):
     return c
 
 
-def random_complex_with_cohomology(rng, length: int = 4, max_rank: int = 2,
-                                   max_betti: int = 2):
-    """Random Matrix complex with prescribed-by-construction harmonic parts."""
+def random_complex_with_cohomology(rng, length: int = 4):
+    """Random Matrix complex with harmonic parts of dimension 0..2 by construction."""
     backend = matrix_backend()
     while True:
-        ranks = [0] + [int(rng.integers(0, max_rank + 1)) for _ in range(length - 1)] + [0]
-        betti = [int(rng.integers(0, max_betti + 1)) for _ in range(length)]
+        ranks = [0] + [int(rng.integers(0, 3)) for _ in range(length - 1)] + [0]
+        betti = [int(rng.integers(0, 3)) for _ in range(length)]
         dims = [ranks[i] + ranks[i + 1] + betti[i] for i in range(length)]
         if all(d > 0 for d in dims) and sum(betti) > 0:
             break

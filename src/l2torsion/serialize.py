@@ -18,6 +18,7 @@ from .backends import (
     CategoryBackend,
     HObject,
     Morphism,
+    _integers,
     expand_group_matrix,
     family_backend,
     group_backend,
@@ -275,6 +276,8 @@ def cell_complex_to_json(k: CellComplex) -> dict:
 
 
 def cell_complex_from_json(d: dict) -> CellComplex:
+    """Read :func:`cell_complex_to_json`'s format; dimensions, tokens and
+    "chi" must be integers, as :func:`l2torsion.backends._integers` reads them."""
     pi_d = d.get("pi", {})
     if "finite" in pi_d:
         pi = finite_pi(pi_d["finite"])
@@ -283,20 +286,22 @@ def cell_complex_from_json(d: dict) -> CellComplex:
     else:
         raise InputValidationError("pi must be 'finite' or 'infinite_cyclic'")
     try:
-        cells = {cid: int(dim) for dim, cid in d["cells"]}
+        cells = {cid: _integers(dim, "cell dimensions").item() for dim, cid in d["cells"]}
         boundaries = {
             cid: tuple(
-                (fid, tuple((int(tok), c if isinstance(c, int) else float(c)) for tok, c in s))
+                (fid, tuple((_integers(tok, "tokens").item(), c if isinstance(c, int)
+                             else float(c)) for tok, c in s))
                 for fid, s in faces
             )
             for cid, faces in d.get("boundaries", {}).items()
         }
+        chi = _integers(d.get("chi", 0), "Euler characteristics ('chi')").item()
     except (KeyError, TypeError, ValueError, AttributeError):
         raise InputValidationError(
             "a cell complex needs 'cells' as [dimension, id] pairs and 'boundaries' "
             "as lists of [face, [[token, coefficient], ...]]") from None
     k = CellComplex(cells, boundaries, pi)
-    if "chi" in d and int(d["chi"]) != k.euler_characteristic:
+    if "chi" in d and chi != k.euler_characteristic:
         raise InputValidationError(
             "declared Euler characteristic disagrees with the cell counts"
         )

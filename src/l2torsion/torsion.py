@@ -28,25 +28,25 @@ from .backends import (
     HObject,
     Morphism,
     SubObject,
-    add,
     align,
     block_matrix,
+    commutes,
     complement,
     compose,
     direct_sum_objects,
     fiber_svds,
     hermitian,
     identity_morphism,
-    largest_block_norm,
     operator_norm,
     partition,
-    scale_morphism,
     subobject_from_std_frames,
     zero_morphism,
 )
 from .detline import (
     DetLineElement,
     Frame,
+    _rebase_factor,
+    alternating_word,
     check_exactness,
     orthogonal_section,
 )
@@ -64,15 +64,10 @@ from .spectral import (
 )
 
 
-def complex_det_element(
-    c: ChainComplexC, prefix: str = "C", log_coeff: float = 0.0
-) -> DetLineElement:
-    """Unit volume element of det(C) = (x)_i det(C^i)^((-1)^i)."""
-    word = []
-    for i, obj in enumerate(c.objects):
-        if obj.dim_tau > 0:
-            word.append((Frame(obj, f"{prefix}{i}"), (-1) ** i))
-    return DetLineElement(tuple(word), log_coeff)
+def complex_det_element(c: ChainComplexC, log_coeff: float = 0.0) -> DetLineElement:
+    """Volume element exp(log_coeff) of det(C) = (x)_i det(C^i)^((-1)^i), in
+    the frames "C"i."""
+    return DetLineElement(alternating_word(c.objects, "C"), log_coeff)
 
 
 def _no_columns(obj: HObject) -> Fibers:
@@ -234,7 +229,7 @@ def _pushed(c, split, sigma, values, prefix) -> DetLineElement:
     for frame, e in sigma.word:
         for i, obj in enumerate(c.objects):
             if not matched[i] and frame.obj.same_space(obj) and e == (-1) ** i:
-                log_coeff += -(e / 2.0) * (frame.log_det_product - obj.log_det_product())
+                log_coeff += e * _rebase_factor(frame.obj, obj)
                 matched[i] = True
                 break
         else:
@@ -242,17 +237,13 @@ def _pushed(c, split, sigma, values, prefix) -> DetLineElement:
     if any(obj.dim_tau > 0 and not m for obj, m in zip(c.objects, matched)):
         raise L2TorsionError("input element does not match det of the complex")
     folded, unfolded = _fold(split, values, prefix)
-    word = [(Frame(h.space, f"{prefix}{i}"), (-1) ** i)
-            for i, h in enumerate(split.harmonic) if h.dim_tau > 0]
-    return DetLineElement(tuple(word + unfolded), log_coeff + folded)
+    word = alternating_word([h.space for h in split.harmonic], prefix)
+    return DetLineElement(word + tuple(unfolded), log_coeff + folded)
 
 
-def nu_map(
-    c: ChainComplexC,
-    sigma: DetLineElement | None = None,
-    tol: float = DEFAULT_RANK_TOL,
-) -> DetLineElement:
-    """Canonical isomorphism nu: det(C) -> det(extended cohomology of C).
+def nu_map(c: ChainComplexC, tol: float = DEFAULT_RANK_TOL) -> DetLineElement:
+    """Canonical isomorphism nu: det(C) -> det(extended cohomology of C), on
+    the unit volume element of det(C), in the harmonic frames "H"i.
 
     Each C^i splits orthogonally into harmonic, boundary, and co-exact
     parts; the restriction of d_i identifies the co-exact part of C^i with
@@ -264,7 +255,7 @@ def nu_map(
     stay in the word and no scalar contribution is recorded for them.
     """
     split = hodge_split(c, tol)
-    return _pushed(c, split, sigma, split.singular, "H")
+    return _pushed(c, split, None, split.singular, "H")
 
 
 def _check_formulas(via_laplacian: float, via_svd: float) -> float:
@@ -575,14 +566,7 @@ def _is_chain_map(f_list, src: ChainComplexC, dst: ChainComplexC) -> None:
         raise InputValidationError(
             f"a chain map needs one map per degree: {src.length}, not {len(f_list)}")
     for i in range(src.length - 1):
-        lhs = compose(dst.diffs[i], f_list[i])
-        rhs = compose(f_list[i + 1], src.diffs[i])
-        bound = max(
-            dst.diffs[i].norm() * f_list[i].norm(),
-            f_list[i + 1].norm() * src.diffs[i].norm(),
-            1e-300,
-        )
-        if largest_block_norm(add(lhs, scale_morphism(rhs, -1.0))) > 1e-8 * bound:
+        if not commutes(dst.diffs[i], f_list[i], f_list[i + 1], src.diffs[i]):
             raise NotAChainMapError(f"square at degree {i} does not commute")
 
 
@@ -598,14 +582,11 @@ class LesIsomorphism:
 
     log_factor: float
     h_middle: list  # harmonic subobjects of M
-    prefix: str = "H"
 
     def apply(self, element: DetLineElement) -> DetLineElement:
-        word = []
-        for i, h in enumerate(self.h_middle):
-            if h.dim_tau > 0:
-                word.append((Frame(h.space, f"{self.prefix}{i}"), (-1) ** i))
-        return DetLineElement(tuple(word), element.log_coeff + self.log_factor)
+        """The element's coefficient times exp(log_factor), on the frames "H"i."""
+        return DetLineElement(alternating_word([h.space for h in self.h_middle], "H"),
+                              element.log_coeff + self.log_factor)
 
 
 def les_connecting_iso(

@@ -29,17 +29,28 @@ from l2torsion.backends import (
     uniform_interval_samples,
 )
 from l2torsion.cellular import (
+    CellComplex,
+    circle_complex,
     circle_regular_representation,
+    circle_unit_representation,
     cochain_complex,
     combinatorial_torsion,
     cyclic_character_representation,
     finite_pi,
+    infinite_cyclic_pi,
     lens_complex,
+    re_lift,
     regular_representation,
+    subdivision_invariance_check,
     torus_quotient_complex,
 )
 from l2torsion.cli import EXIT_INVALID, main
-from l2torsion.errors import InputValidationError, NotAChainComplexError, ShapeMismatchError
+from l2torsion.errors import (
+    BackendMismatchError,
+    InputValidationError,
+    NotAChainComplexError,
+    ShapeMismatchError,
+)
 from l2torsion.extcoh import ChainComplexC, cohomology, direct_sum_complexes
 from l2torsion.harness import family_multiplication_map
 from l2torsion.serialize import (
@@ -48,6 +59,7 @@ from l2torsion.serialize import (
     morphism_from_json,
     morphism_to_json,
     representation_from_json,
+    representation_to_json,
 )
 from l2torsion.spectral import SpectralDensity, classify_determinant, spectral_density
 from l2torsion.torsion import cone_torsion_check, torsion, torsion_acyclic
@@ -414,3 +426,55 @@ def _lens_json(edit):
 def test_malformed_cell_complex_json_rejected(edit):
     with pytest.raises(InputValidationError):
         cell_complex_from_json(_lens_json(edit))
+
+
+@pytest.mark.parametrize("cells, boundaries, pi", [
+    ({"v": -1}, {}, infinite_cyclic_pi()),  # was dropped from the cochain complex
+    ({"v": 1.5}, {}, infinite_cyclic_pi()),
+    ({"v": 0, "e": 1}, {"e": (("v", ((2.5, 1), (0, -1))),)}, infinite_cyclic_pi()),  # t^2.5
+    ({"v": 0, "e": 1}, {"e": (("v", ((1.5, 1), (0, -1))),)}, lens_complex(5, 1).pi),
+])
+def test_bad_cell_dimensions_and_tokens_rejected(cells, boundaries, pi):
+    with pytest.raises(InputValidationError):
+        CellComplex(cells, boundaries, pi)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: (d["cells"].append([-1, "x"]), d.pop("chi")),  # x was dropped
+    lambda d: d["cells"][1].__setitem__(0, 1.5),  # was truncated to 1
+    lambda d: d["boundaries"]["e"][0][1][0].__setitem__(0, 1.5),  # was truncated to t
+    lambda d: d.__setitem__("chi", 0.5),  # was truncated to 0
+    lambda d: d.__setitem__("chi", "abc"),  # was a bare ValueError
+])
+def test_cli_rejects_non_integral_cell_complex_json(tmp_path, edit):
+    payload = cell_complex_to_json(circle_complex())
+    edit(payload)
+    (tmp_path / "k.json").write_text(json.dumps(payload))
+    (tmp_path / "rep.json").write_text(
+        json.dumps(representation_to_json(circle_regular_representation(64))))
+    args = ["--complex", tmp_path / "k.json", "--rep", tmp_path / "rep.json", "--out", tmp_path]
+    assert main(["torsion", *map(str, args)]) == EXIT_INVALID
+
+
+@pytest.mark.parametrize("make, lifts", [
+    (lambda: lens_complex(5, 1), {"e9": 1}),  # was ignored
+    (lambda: lens_complex(5, 1), {"e1": -1}),  # wrapped through Python indexing
+    (lambda: lens_complex(5, 1), {"e1": 7}),  # was an IndexError
+    (lambda: lens_complex(5, 1), {"e1": 1.5}),  # was a TypeError
+    (circle_complex, {"e": 1.5}),
+    (circle_complex, {"x": 1}),
+])
+def test_bad_lifts_rejected(make, lifts):
+    with pytest.raises(InputValidationError):
+        re_lift(make(), lifts)
+
+
+@pytest.mark.parametrize("depth", [0, -1, 1.5])
+def test_subdivision_depth_must_be_positive(depth):
+    with pytest.raises(InputValidationError, match="positive integer"):
+        subdivision_invariance_check(circle_complex(), circle_unit_representation(-1.0), depth)
+
+
+def test_group_order_needs_a_group_backend():
+    with pytest.raises(BackendMismatchError):
+        matrix_backend().group_order

@@ -81,3 +81,35 @@ def test_benchmark_random_suites_meets_its_oracles():
     assert done.returncode == 0, done.stderr
     last = json.loads(done.stdout.strip().splitlines()[-1])
     assert last["correct"] is True and last["failed"] == 0, last
+
+
+def test_options_no_caller_sets_are_constants():
+    """Frame labels, prefixes, trace scales, seeds and sampling bounds that
+    no caller set are constants, and HObject has no ``products`` view."""
+    import inspect
+
+    from l2torsion import backends, cellular, detline, extcoh, harness, torsion
+
+    removed = {
+        detline.canonical_element: {"labels"},
+        detline.push_forward: {"label"},
+        detline.exact_sequence_iso: {"sub_label", "quot_label"},
+        extcoh.det_line_of_extended: {"target_label", "source_label"},
+        extcoh.extended_pushforward: {"labels", "new_labels"},
+        torsion.complex_det_element: {"prefix"},
+        torsion.nu_map: {"sigma"},
+        torsion.LesIsomorphism: {"prefix"},
+        backends.group_object: {"product"},
+        backends.uniform_interval_samples: {"a", "b"},
+        cellular.Representation.check_relations: {"tol"},
+        cellular.matrix_representation: {"scale"},
+        cellular.regular_representation: {"scale"},
+        cellular.circle_regular_representation: {"scale"},
+        cellular.subdivision_invariance_check: {"seed", "epsilon"},
+        harness.random_invertible: {"smin", "smax"},
+        harness.random_complex_with_cohomology: {"max_rank", "max_betti"},
+    }
+    assert sum(map(len, removed.values())) == 24
+    for fn, names in removed.items():
+        assert not names & set(inspect.signature(fn).parameters), fn.__qualname__
+    assert not hasattr(backends.HObject, "products")
