@@ -21,7 +21,6 @@ from .backends import (
     dihedral_group_table,
     direct_sum_morphisms,
     direct_sum_objects,
-    dim_tau,
     family_backend,
     family_object,
     group_backend,

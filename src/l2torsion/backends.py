@@ -445,6 +445,11 @@ class FiberValues:
         """Number of values of each of the n fibers."""
         return np.bincount(self.fiber, minlength=n)
 
+    def log_det(self, weights: np.ndarray) -> float:
+        """Sum of the logs of the values, each times its fiber's weight: a
+        log Fuglede-Kadison determinant, which needs no order."""
+        return float(np.dot(weights[self.fiber], np.log(self.values)))
+
 
 # ---------------------------------------------------------------------------
 # objects and morphisms
@@ -485,19 +490,18 @@ def _as_gram(dims: np.ndarray, products) -> Fibers | None:
 def _integers(values, what: str) -> np.ndarray:
     """``values`` as an integer array of their own shape; raises
     :class:`InputValidationError`, naming ``what``, unless they form an
-    array and every entry is an integer (integral floats pass)."""
+    array of numbers and every entry is an integer (integral floats and
+    booleans pass, numeric strings do not)."""
     try:
         a = np.asarray(values)
     except ValueError:  # ragged nested sequences
         raise InputValidationError(f"{what} must form an array") from None
     if a.dtype.kind in "iu":
         return a.astype(int, copy=False)
-    try:
-        f = a.astype(float)
-    except (TypeError, ValueError):
-        raise InputValidationError(f"{what} must be integers") from None
-    # nan, inf and values past the int64 range fail the first test
-    if not np.all((np.abs(f) < 2.0**63) & (f == np.round(f))):
+    f = a.astype(float) if a.dtype.kind in "bf" else None
+    # strings, objects and complex numbers fail, and nan, inf and values
+    # past the int64 range fail the first test
+    if f is None or not np.all((np.abs(f) < 2.0**63) & (f == np.round(f))):
         raise InputValidationError(f"{what} must be integers")
     return f.astype(int)
 
@@ -809,10 +813,6 @@ def trace(m: Morphism) -> complex:
     return val
 
 
-def dim_tau(obj: HObject) -> float:
-    return obj.dim_tau
-
-
 def largest_norm(stack: np.ndarray) -> float:
     """Largest Frobenius norm of a matrix of a nonempty stack, computed
     without overflow."""
@@ -1062,8 +1062,7 @@ class FiberSVD:
     def log_det(self, weights: np.ndarray) -> float:
         """Trace-weighted sum of the logs of the kept values: the log
         Fuglede-Kadison determinant of the map off its kernel."""
-        kept = self.kept()
-        return float(np.dot(weights[kept.fiber], np.log(kept.values)))
+        return self.kept().log_det(weights)
 
     def kernel_mass(self, weights: np.ndarray, dims: np.ndarray) -> float:
         """Trace-weighted count of the source dimensions ``dims`` (one per

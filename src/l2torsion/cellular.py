@@ -279,6 +279,28 @@ def elementary_subdivision(k: CellComplex, cell_id: str) -> CellComplex:
 # representations
 
 
+def generating_set(pi: PiSpec) -> list:
+    """Generators of a finite group, greedily: each element outside the
+    subgroup of the earlier ones joins, at least doubling it, so there are
+    at most log2 |G|; the table of :func:`cyclic_group_table` gets [1]."""
+    gens, reached = [], {0}
+    for g in range(pi.order):
+        if g not in reached:
+            gens.append(g)
+            todo = list(reached)
+            while todo:
+                h = todo.pop()
+                new = {pi.mul(s, h) for s in gens} - reached
+                reached |= new
+                todo += new
+    return gens
+
+
+def _deviation(a: Morphism, b: Morphism) -> float:
+    """Largest Frobenius norm of a block of a - b."""
+    return largest_block_norm(add(a, scale_morphism(b, -1.0)))
+
+
 @dataclass(eq=False)
 class Representation:
     """Action of the fundamental group on a coefficient module.
@@ -309,25 +331,23 @@ class Representation:
 
     def check_relations(self) -> None:
         """Raise :class:`InputValidationError` unless the images obey the
-        group law within 1e-10 (relative to max(1, |g(a)|) for g(ab))."""
+        group law within 1e-10 (relative to max(1, |g(a)|) for g(ab)). For
+        a finite group, g(e) = 1 and g(ab) = g(a) g(b) for a in
+        :func:`generating_set` and every b imply the law for every pair."""
         if self.pi.finite:
-            n = self.pi.order
-            for a in range(n):
-                for b in range(n):
-                    ga, gb = self.image(a), self.image(b)
-                    dev = largest_block_norm(add(
-                        self.image(self.pi.mul(a, b)), scale_morphism(compose(ga, gb), -1.0)
-                    ))
-                    if dev > 1e-10 * max(1.0, largest_block_norm(ga)):
+            images = [self.image(g) for g in range(self.pi.order)]
+            if _deviation(images[0], identity_morphism(images[0].source)) > 1e-10:
+                raise InputValidationError("the identity element does not act as 1")
+            for a in generating_set(self.pi):
+                ga, size = images[a], max(1.0, largest_block_norm(images[a]))
+                for b, gb in enumerate(images):
+                    if _deviation(images[self.pi.mul(a, b)], compose(ga, gb)) > 1e-10 * size:
                         raise InputValidationError(
                             f"representation violates the group law at ({a},{b})"
                         )
         else:
             t, ti = self.image(1), self.image(-1)
-            dev = largest_block_norm(
-                add(compose(t, ti), scale_morphism(identity_morphism(t.source), -1.0))
-            )
-            if dev > 1e-10:
+            if _deviation(compose(t, ti), identity_morphism(t.source)) > 1e-10:
                 raise InputValidationError("images of t and t^-1 are not inverse")
 
     def unimodular_defect(self) -> float:

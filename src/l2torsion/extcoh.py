@@ -40,7 +40,6 @@ from .backends import (
     fiber_svds,
     frobenius,
     full_subobject,
-    kernel_and_image_closure,
     largest_norm,
     scale_morphism,
     subobject_from_std_frames,
@@ -357,7 +356,7 @@ def cohomology(c: ChainComplexC, tol: float = DEFAULT_RANK_TOL) -> CohomologyPro
             degree=i,
             betti=betti[i],
             verdict=verdicts[i],
-            ns=None if i == 0 else ns_exponent(split.density(i - 1)),
+            ns=None if i == 0 else ns_exponent(split.densities[i - 1]),
         )
         for i in range(c.length)
     ])
@@ -475,8 +474,6 @@ def kernel_cokernel_lines(
     check_extended_morphism(x, y, f, fprime)
     g, h = _graph_map(x, y, f, fprime)
     svd = fiber_svds(h, tol)
-    coker = _extended(h, svd)
-    p_sub, _ = kernel_and_image_closure(h, tol, svd=svd)
-    iota = p_sub.compress(g, full_subobject(g.source))
-    kernel = extended_object(iota, tol)
-    return KernelCokernelLines(kernel, coker)
+    kernel = subobject_from_std_frames(h.source, svd.kernel())
+    iota = kernel.compress(g, full_subobject(g.source))
+    return KernelCokernelLines(extended_object(iota, tol), _extended(h, svd))

@@ -160,10 +160,10 @@ def log_fk_det(f: Morphism, tol: float = DEFAULT_RANK_TOL) -> float:
 
     Defined as the logarithmic moment of the singular value density over the
     strictly positive spectrum: kernel directions are excluded, so this is
-    the determinant of the positive part of |f|. May be -inf when positive
-    singular values underflow.
+    the determinant of the positive part of |f|: the weighted log sum of the
+    kept values of one values-only :func:`fiber_svds`, with no density.
     """
-    return singular_density(f, tol).log_moment()
+    return fiber_svds(f, tol, vectors=False).log_det(f.backend.fiber_weights)
 
 
 def fk_det(f: Morphism, tol: float = DEFAULT_RANK_TOL) -> float:

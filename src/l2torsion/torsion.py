@@ -10,9 +10,10 @@ element does not depend on the cut. Both parts, the cut and the verdicts
 are read off one Hodge decomposition of the complex: one SVD of each
 differential on each fiber.
 
-No determinant-class assumption is made anywhere: degrees whose torsion
-part has a divergent (or inconclusive) spectral certificate simply keep
-their frames in the output word instead of collapsing to a scalar.
+No determinant-class assumption is made anywhere: each differential is
+certified once, and where that certificate is not Convergent its share of
+the part below epsilon keeps its frames in the output word instead of
+collapsing to a scalar. The part above epsilon has a gap, so it always folds.
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ class HodgeSplit:
     rank sit in different groups. ``singular[i]`` keeps the kept values of
     d_i flat, as :class:`FiberValues` (values plus the fiber of each, in
     column order within a fiber), so that every reading below is an array
-    expression over all fibers at once.
+    expression over all fibers at once. ``verdicts[i]`` certifies their
+    density: the one determinant-class decision on d_i that every part reads.
 
     ``clear[i]`` is the Laplacian's rank cut on those values, decided once
     here: two masks, whether s^2 lies above tol times the largest
@@ -116,13 +118,10 @@ class HodgeSplit:
     boundaries: list  # boundaries[i] = cl(im d_{i-1}) in C^i
     coexact: list  # coexact[i] = W^i = (ker d_i)^perp
     singular: list  # singular[i] = kept singular values of d_i, flat
-    verdicts: list  # certificate for each restricted differential
+    densities: list  # densities[i] = their trace-weighted density
+    verdicts: list  # verdicts[i] = certificate of densities[i]
     weights: np.ndarray  # trace weight of each fiber
-    clear: list = field(default_factory=list)  # clear[i] = (in C^i, in C^(i+1))
-
-    def density(self, i: int) -> SpectralDensity:
-        """Trace-weighted density of the kept singular values of d_i."""
-        return SpectralDensity.from_fibers(self.singular[i], self.weights)
+    clear: list  # clear[i] = (in C^i, in C^(i+1))
 
     def detclass(self) -> list:
         """Determinant-class verdict of each degree: degree i certifies the
@@ -157,17 +156,18 @@ def _laplacian_cut(singular: list, weights: np.ndarray, tol: float) -> list:
 
 
 def hodge_split(c: ChainComplexC, tol: float = DEFAULT_RANK_TOL) -> HodgeSplit:
-    split = HodgeSplit([], [], [], [], [], c.backend.fiber_weights)
+    split = HodgeSplit([], [], [], [], [], [], c.backend.fiber_weights, [])
     scale = c.fiber_scales()
     # standardized frames of B^i = cl(im d_{i-1}) and of W^i; B^0 and the
     # last W are empty
     images, coimages = [_no_columns(c.objects[0])], []
-    for i, d in enumerate(c.diffs):
+    for d in c.diffs:
         svd = fiber_svds(d, tol, scale)
         images.append(svd.image())
         coimages.append(svd.coimage())
         split.singular.append(svd.kept())
-        split.verdicts.append(classify_determinant(split.density(i)))
+        split.densities.append(SpectralDensity.from_fibers(split.singular[-1], split.weights))
+        split.verdicts.append(classify_determinant(split.densities[-1]))
     coimages.append(_no_columns(c.objects[-1]))
     for obj, b, w in zip(c.objects, images, coimages):
         split.boundaries.append(subobject_from_std_frames(obj, b))
@@ -183,30 +183,23 @@ def _fold(split: HodgeSplit, values: list, prefix: str) -> tuple:
     d_i that the part holds.
 
     The restricted differential identifies the part's share of W^i with
-    that of cl(im d_i), and the pair cancels out of the determinant word
-    with the pair's extended log-determinant, sign (-1)^(i+1), when it is
-    certified Convergent; otherwise both frames stay in the word. Returns
-    (log-coefficient, word).
+    that of cl(im d_i). When the split certifies d_i Convergent (then so is
+    every part of its spectrum), the pair cancels out of the word with the
+    weighted log sum of the values, sign (-1)^(i+1); otherwise both frames
+    stay in the word. Returns (log-coefficient, word).
 
     The values get no rank cut of their own: the split's cut,
     tol * max(largest value of the fiber, fiber scale of the complex), is
     at least the cut a subcomplex would draw from its own values and scale,
-    so every value would pass it. A part that holds every value of d_i has
-    the density of the split, so it takes the split's verdict.
+    so every value would pass it.
     """
     log_coeff, word = 0.0, []
-    for i, kept in enumerate(values):
-        backend = split.coexact[i].ambient.backend
-        space = HObject(backend, kept.counts(len(split.weights)))
-        if space.dim_tau <= 0:
-            continue
-        if len(kept.values) == len(split.singular[i].values):
-            verdict = split.verdicts[i]
-        else:
-            verdict = classify_determinant(SpectralDensity.from_fibers(kept, split.weights))
+    for i, (kept, verdict) in enumerate(zip(values, split.verdicts)):
         if verdict.convergent:
-            log_coeff += (-1) ** (i + 1) * verdict.log_integral
-        else:
+            log_coeff += (-1) ** (i + 1) * kept.log_det(split.weights)
+            continue
+        space = HObject(split.coexact[i].ambient.backend, kept.counts(len(split.weights)))
+        if space.dim_tau > 0:
             word.append((Frame(space, f"{prefix}:W{i}"), (-1) ** i))
             word.append((Frame(space, f"{prefix}:B{i + 1}"), (-1) ** (i + 1)))
     return log_coeff, word
@@ -525,13 +518,12 @@ def _torsion(c, split, sigma, epsilon, tol, out_prefix) -> TorsionReport:
                 check_d_squared([operator_norm(d) for d in diffs],
                                 (zip(groups, zip(a, b)) for b, a in zip(diffs, diffs[1:])), norm)
         if any(w.any() for w in widths):
-            large = [v.select(~m) for v, m in zip(split.singular, low)]
-            log_rho_large, unfolded = _fold(split, large, out_prefix)
+            # the part has a spectral gap, so its log-determinants converge
+            log_rho_large = sum((-1) ** (i + 1) * v.select(~m).log_det(split.weights)
+                                for i, (v, m) in enumerate(zip(split.singular, low)))
             n, (_, large_diffs) = len(split.weights), parts[0]
             stacks = [Fibers(list(zip(groups, g)), n) for g in large_diffs]
             via_laplacian = _laplacian_torsion(stacks, widths, split.weights, tol)
-            if unfolded:
-                raise NotAcyclicError("complex is not acyclic within tolerance")
             checks["large_part_formulas"] = _check_formulas(via_laplacian, log_rho_large)
 
     betti = split.betti()

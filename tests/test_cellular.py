@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from l2torsion import cellular
 from l2torsion.backends import cyclic_group_table
 from l2torsion.cellular import (
     circle_complex,
@@ -115,6 +116,42 @@ class TestRepresentations:
         rep = matrix_representation(pi, images)
         with pytest.raises(InputValidationError):
             rep.check_relations()
+
+    def test_relation_check_multiplies_by_generators_only(self, monkeypatch):
+        """|G| products per generator, not |G|^2: Z/16 has the generating
+        set [1]."""
+        pi = finite_pi(cyclic_group_table(16))
+        assert cellular.generating_set(pi) == [1]
+        rep = regular_representation(pi)
+        real, calls = cellular.compose, []
+        monkeypatch.setattr(cellular, "compose", lambda *a: calls.append(1) or real(*a))
+        rep.check_relations()
+        assert 0 < len(calls) <= 16 * (len(cellular.generating_set(pi)) + 1)
+
+    @pytest.mark.parametrize("broken", [0, 4, 5])
+    def test_relation_check_catches_a_broken_image_off_the_generators(self, broken):
+        pi = finite_pi(cyclic_group_table(6))
+        assert broken not in cellular.generating_set(pi)
+        images = [np.array([[np.exp(2j * np.pi * j / 6)]]) for j in range(6)]
+        images[broken] = images[broken] * np.exp(1e-6j)
+        with pytest.raises(InputValidationError):
+            matrix_representation(pi, images).check_relations()
+        images[broken] = np.array([[np.exp(2j * np.pi * broken / 6)]])
+        matrix_representation(pi, images).check_relations()
+
+    def test_generating_sets_are_greedy_and_generate(self):
+        for table, want in [(cyclic_group_table(1), []), (cyclic_group_table(7), [1]),
+                            ([[a ^ b for b in range(8)] for a in range(8)], [1, 2, 4])]:
+            pi = finite_pi(table)
+            gens = cellular.generating_set(pi)
+            assert gens == want
+            reached = {0}
+            while True:
+                more = reached | {pi.mul(s, h) for s in gens for h in reached}
+                if more == reached:
+                    break
+                reached = more
+            assert reached == set(range(pi.order))
 
     def test_unimodularity_gate(self):
         rep = matrix_representation(infinite_cyclic_pi(), {1: np.array([[2.0]])})

@@ -3,8 +3,8 @@
 An object keeps its fiber dimensions as one integer array, ``partition``
 groups fibers with one stable argsort, and the log-determinants that need
 no order (the Laplacian cross-check of the large part, the unimodularity
-defect of a representation) are read off the kept values of a values-only
-SVD without building a sorted density. These tests hold the new code to
+defect of a representation, ``log_fk_det``) are read off the kept values of
+a values-only SVD without building a sorted density. These tests hold the new code to
 references written the old way, and pin the sorting a torsion call does.
 """
 
@@ -21,6 +21,8 @@ from l2torsion.backends import (
     family_backend,
     family_object,
     matrix_backend,
+    matrix_morphism,
+    matrix_object,
     partition,
     uniform_interval_samples,
 )
@@ -36,8 +38,8 @@ from l2torsion.cellular import (
     regular_representation,
 )
 from l2torsion.errors import InputValidationError
-from l2torsion.extcoh import ChainComplexC
-from l2torsion.harness import family_multiplication_map
+from l2torsion.extcoh import ChainComplexC, cohomology
+from l2torsion.harness import family_multiplication_map, random_complex_with_cohomology
 from l2torsion.spectral import log_fk_det
 from l2torsion.torsion import torsion, torsion_acyclic
 
@@ -185,7 +187,7 @@ def test_argsort_calls_per_torsion_are_pinned(numpy_calls):
         numpy_calls.clear()
         torsion(c)
         counts.append((numpy_calls["argsort"], numpy_calls["density"]))
-    assert counts == [(8, 3), (4, 3)]
+    assert counts == [(6, 1), (2, 1)]
 
 
 def test_laplacian_cross_check_builds_no_density(numpy_calls, monkeypatch):
@@ -215,6 +217,26 @@ def test_unimodular_defect_builds_no_density(numpy_calls):
     for rep in reps:
         assert rep.unimodular_defect() < 1e-8
     assert numpy_calls["density"] == 0
+
+
+def test_log_fk_det_builds_no_density(numpy_calls):
+    maps = [_divergent().diffs[0], matrix_morphism(
+        matrix_object(matrix_backend(), 3), matrix_object(matrix_backend(), 2),
+        [[2.0, 1.0, 0.0], [0.0, 0.5, 0.0]])]
+    wants = [spectral.singular_density(f).log_moment() for f in maps]
+    numpy_calls.clear()
+    for f, want in zip(maps, wants):
+        assert log_fk_det(f) == pytest.approx(want, rel=1e-13)
+    assert numpy_calls["density"] == 0
+
+
+def test_cohomology_sorts_only_the_densities_of_the_split(numpy_calls):
+    """The Novikov-Shubin exponents read the densities the split built for
+    its verdicts."""
+    c = random_complex_with_cohomology(np.random.default_rng(5), 4)
+    numpy_calls.clear()
+    cohomology(c)
+    assert numpy_calls["density"] == len(c.diffs)
 
 
 @pytest.mark.parametrize("rep", [

@@ -320,6 +320,34 @@ def test_integral_float_dimensions_accepted(dims):
     assert obj.dim_tau == float(np.asarray(dims)[0])
 
 
+@pytest.mark.parametrize("dims", [["3"], ("0",), np.array(["1"]), [b"2"], ["2", 1], [2 + 0j]])
+def test_numeric_string_dimensions_rejected(dims):
+    """A string that parses as a number is still not an integer."""
+    with pytest.raises(InputValidationError, match="fiber dimensions"):
+        HObject(matrix_backend(), dims)
+
+
+def test_numeric_string_cayley_table_rejected():
+    with pytest.raises(InputValidationError, match="Cayley table"):
+        finite_pi([["0", "1"], ["1", "0"]])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["cells"][0].__setitem__(0, "0"),  # was read as dimension 0
+    lambda d: d["cells"][1].__setitem__(0, "1"),
+    lambda d: d["boundaries"]["e"][0][1][0].__setitem__(0, "1"),  # token t
+    lambda d: d.__setitem__("chi", "0"),
+])
+def test_cli_rejects_numeric_strings_in_cell_complex_json(tmp_path, edit):
+    payload = cell_complex_to_json(circle_complex())
+    edit(payload)
+    (tmp_path / "k.json").write_text(json.dumps(payload))
+    (tmp_path / "rep.json").write_text(
+        json.dumps(representation_to_json(circle_regular_representation(64))))
+    args = ["--complex", tmp_path / "k.json", "--rep", tmp_path / "rep.json", "--out", tmp_path]
+    assert main(["torsion", *map(str, args)]) == EXIT_INVALID
+
+
 def _matrix_json(**changes):
     obj = matrix_object(matrix_backend(), 2)
     payload = morphism_to_json(matrix_morphism(obj, obj, np.diag([3.0, 2.0])))

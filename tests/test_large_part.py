@@ -10,6 +10,7 @@ objects to the factors of its product and ``_fold`` to the verdicts of the
 split.
 """
 
+import math
 import sys
 from collections import Counter
 
@@ -234,6 +235,32 @@ def test_nu_map_classifies_each_differential_once(seed, monkeypatch):
     _counted(monkeypatch, torsion_module, "classify_determinant", calls, "classify")
     nu_map(c)
     assert calls["classify"] == len(c.diffs)
+
+
+def test_torsion_classifies_each_differential_once(monkeypatch):
+    """Every part of the epsilon split folds on the split's verdicts, at
+    the default epsilon and at a user epsilon on either side of it."""
+    c = random_complex_with_cohomology(np.random.default_rng(4), 4)
+    eps = default_epsilon(c)
+    calls = Counter()
+    _counted(monkeypatch, torsion_module, "classify_determinant", calls, "classify")
+    for epsilon in (None, 3.0 * eps, eps / 3.0):
+        calls.clear()
+        torsion(c, epsilon=epsilon)
+        assert calls["classify"] == len(c.diffs), epsilon
+
+
+@pytest.mark.parametrize("lam", [1e-9, 1e-10, 1e-13])
+def test_large_part_below_the_ladder_rungs_folds(lam):
+    """d = lam diag(1, 2) is acyclic, but both values lie below 1e-8,
+    where the certificate's ladder reads its tail. The large part, here
+    2 lam, is a plain log sum; the small part keeps its frames exactly
+    when the split's verdict on d is not Convergent."""
+    report = torsion(_two_term([lam, 2.0 * lam]))
+    assert report.log_rho_large == pytest.approx(-math.log(2.0 * lam), rel=1e-12, abs=0.0)
+    labels = [frame.label for frame, _ in report.combined.word]
+    assert (labels == ["H:W0", "H:B1"]) == (not report.detclass[1].convergent)
+    assert labels in (["H:W0", "H:B1"], [])
 
 
 # ---------------------------------------------------------------------------
