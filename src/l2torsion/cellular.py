@@ -22,6 +22,7 @@ from .backends import (
     HObject,
     Morphism,
     add,
+    align,
     check_group_table,
     circle_samples,
     compose,
@@ -307,8 +308,10 @@ class Representation:
 
     ``image_fn(token)`` must return an invertible endomorphism of ``module``
     for every group token appearing in boundary data. ``generators`` lists
-    tokens whose images certify unimodularity (all elements for a finite
-    group, t for the infinite cyclic group).
+    tokens whose images certify unimodularity: :func:`generating_set` for a
+    finite group, t for the infinite cyclic group. The Fuglede-Kadison
+    determinant is multiplicative on invertible maps, so unit determinants
+    on generators give unit determinants on the whole group.
     """
 
     pi: PiSpec
@@ -322,12 +325,15 @@ class Representation:
 
     def sum_image(self, s: GroupRingSum):
         """Fiber blocks (:class:`Fibers`) of the image of a group-ring sum
-        (None for zero)."""
+        (None for zero): the image stacks scaled and added group by group.
+        They are checked where they become a differential, in
+        :func:`cochain_complex`."""
         total = None
         for tok, coeff in s:
-            term = scale_morphism(self.image(tok), coeff)
-            total = term if total is None else add(total, term)
-        return None if total is None else total.blocks
+            term = self.image(tok).blocks.map(lambda b: coeff * b)
+            total = term if total is None else Fibers(
+                [(idx, a + b) for idx, (a, b) in align(total, term)], total.n)
+        return total
 
     def check_relations(self) -> None:
         """Raise :class:`InputValidationError` unless the images obey the
@@ -385,7 +391,7 @@ def matrix_representation(pi: PiSpec, images: dict | list,
         def image_fn(tok: int) -> Morphism:
             return Morphism(obj, obj, (mats[tok],))
 
-        return Representation(pi, obj, image_fn, tuple(range(pi.order)),
+        return Representation(pi, obj, image_fn, tuple(generating_set(pi)),
                               descriptor or {})
     t = np.asarray(images[1] if isinstance(images, dict) else images, complex)
     n = t.shape[0]
@@ -396,7 +402,7 @@ def matrix_representation(pi: PiSpec, images: dict | list,
         base = t if tok >= 0 else t_inv
         return Morphism(obj, obj, (np.linalg.matrix_power(base, abs(tok)),))
 
-    return Representation(pi, obj, image_fn, (1, -1), descriptor or {})
+    return Representation(pi, obj, image_fn, (1,), descriptor or {})
 
 
 def regular_representation(pi: PiSpec) -> Representation:
@@ -413,7 +419,7 @@ def regular_representation(pi: PiSpec) -> Representation:
         coeffs[0, 0, tok] = 1.0
         return group_ring_morphism(obj, obj, coeffs)
 
-    return Representation(pi, obj, image_fn, tuple(range(pi.order)),
+    return Representation(pi, obj, image_fn, tuple(generating_set(pi)),
                           {"regular": True})
 
 
@@ -433,7 +439,7 @@ def circle_regular_representation(grid: int) -> Representation:
     def image_fn(tok: int) -> Morphism:
         return Morphism(obj, obj, Fibers.stack((phases ** tok).reshape(-1, 1, 1)))
 
-    return Representation(infinite_cyclic_pi(), obj, image_fn, (1, -1),
+    return Representation(infinite_cyclic_pi(), obj, image_fn, (1,),
                           {"regular_s1": {"grid": grid}})
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -350,5 +351,100 @@ def representation_from_json(d: dict, grid: int | None = None) -> Representation
     raise InputValidationError("representation needs a group and images")
 
 
-def dumps(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+# ---------------------------------------------------------------------------
+# the JSON text
+
+
+_INDENT = "  "
+
+
+class _Unwritten(Exception):
+    """A value :func:`_write` leaves to the standard library."""
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# the text of a value of exactly one of these types
+_SCALARS = {
+    str: encode_basestring_ascii,
+    type(None): lambda o: "null",
+    bool: lambda o: "true" if o else "false",
+    int: int.__repr__,
+    float: _float_text,
+}
+_is_float = float.__instancecheck__
+_is_str = str.__instancecheck__
+
+
+def _scalar(o) -> str:
+    """The text of an instance of a subclass of str, int or float (bool and
+    None have none), tested in the order of the standard library's
+    pure-Python encoder."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    raise _Unwritten
+
+
+def _write(o, level: int, out: list, prefix: str = "") -> None:
+    """Append ``prefix`` and the text of o at nesting ``level`` to ``out``,
+    as ``json.dumps(o, indent=2, sort_keys=True)`` writes it. Raises
+    :class:`_Unwritten` on a dict key that is not a str and on any type
+    that the standard library's encoder does not write itself. (No type is
+    both a scalar and a list, tuple or dict, so testing the containers
+    first keeps that encoder's order.)"""
+    text = _SCALARS.get(type(o))
+    if text is not None:
+        out.append(prefix + text(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append(prefix + "[]")
+            return
+        inner, outer = "\n" + _INDENT * (level + 1), "\n" + _INDENT * level
+        if all(map(_is_float, o)):  # one join for a list of floats
+            out.append(prefix + "[" + inner + ("," + inner).join(map(_float_text, o))
+                       + outer + "]")
+            return
+        sep = prefix + "[" + inner
+        for x in o:
+            _write(x, level + 1, out, sep)
+            sep = "," + inner
+        out.append(outer + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append(prefix + "{}")
+            return
+        if not all(map(_is_str, o)):
+            raise _Unwritten
+        inner, sep = "\n" + _INDENT * (level + 1), prefix + "{"
+        for k in sorted(o):
+            _write(o[k], level + 1, out, sep + inner + encode_basestring_ascii(k) + ": ")
+            sep = ","
+        out.append("\n" + _INDENT * level + "}")
+    else:
+        out.append(prefix + _scalar(o))
+
+
+def dumps(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, byte for
+    byte, without the standard library's pure-Python encoder, which its
+    ``indent`` selects. Payloads the writer leaves (non-str keys, other
+    types, cycles) go to ``json.dumps`` itself, output and errors alike."""
+    out = []
+    try:
+        _write(obj, 0, out)
+    except (_Unwritten, RecursionError):
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    out.append("\n")
+    return "".join(out)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .backends import (
     complement,
     compose,
     direct_sum_objects,
+    fiber_range,
     fiber_svds,
     hermitian,
     identity_morphism,
@@ -92,16 +94,25 @@ class HodgeSplit:
     goes to the j-th kept value of d_i on fiber f times column j of
     ``boundaries[i + 1]``. The nonzero Laplacian eigenvalues of the complex
     are the squares of the kept values. The harmonic part is what is left:
-    Harm^i = (B^i (+) W^i)^perp with B^i = cl(im d_{i-1}), the complement
-    of the two frames side by side in standardized coordinates (one QR per
-    shape group whose width lies strictly between 0 and the dimension).
+    Harm^i = (B^i (+) W^i)^perp with B^i = cl(im d_{i-1}).
 
-    The frames are :class:`Fibers` shape groups, so fibers of different
-    rank sit in different groups. ``singular[i]`` keeps the kept values of
-    d_i flat, as :class:`FiberValues` (values plus the fiber of each, in
-    column order within a fiber), so that every reading below is an array
-    expression over all fibers at once. ``verdicts[i]`` certifies their
-    density: the one determinant-class decision on d_i that every part reads.
+    The split keeps each differential's :class:`FiberSVD` (``svds``) and
+    builds frames only when they are read. The widths of the three frames
+    are read off the ranks alone (:attr:`widths`): boundary rank(d_{i-1}),
+    co-exact rank(d_i), harmonic the rest of the dimension. The torsion
+    word and the Betti numbers need only those, through
+    :attr:`harmonic_spaces`. The frames themselves are built on first
+    read and kept on this split, which belongs to one call: in
+    standardized coordinates (:attr:`std_frames`, and :attr:`std_harmonic`
+    by one QR per shape group whose width lies strictly between 0 and the
+    dimension), and as subobjects of the C^i (``harmonic``,
+    ``boundaries``, ``coexact``).
+
+    ``singular[i]`` keeps the kept values of d_i flat, as
+    :class:`FiberValues` (values plus the fiber of each, in column order
+    within a fiber), so that every reading below is an array expression
+    over all fibers at once. ``verdicts[i]`` certifies their density: the
+    one determinant-class decision on d_i that every part reads.
 
     ``clear[i]`` is the Laplacian's rank cut on those values, decided once
     here: two masks, whether s^2 lies above tol times the largest
@@ -114,14 +125,57 @@ class HodgeSplit:
     the determinant-class test cannot drift apart.
     """
 
-    harmonic: list
-    boundaries: list  # boundaries[i] = cl(im d_{i-1}) in C^i
-    coexact: list  # coexact[i] = W^i = (ker d_i)^perp
+    objects: tuple  # the C^i
+    svds: list  # svds[i] = FiberSVD of d_i standardized
     singular: list  # singular[i] = kept singular values of d_i, flat
     densities: list  # densities[i] = their trace-weighted density
     verdicts: list  # verdicts[i] = certificate of densities[i]
     weights: np.ndarray  # trace weight of each fiber
     clear: list  # clear[i] = (in C^i, in C^(i+1))
+
+    @cached_property
+    def widths(self) -> list:
+        """Per degree, the fiber widths (harmonic, boundary, co-exact):
+        dim - rank(d_{i-1}) - rank(d_i) (at least 0), rank(d_{i-1}) and
+        rank(d_i), with no rank before d_0 or after the last differential."""
+        none = np.zeros(len(self.weights), int)
+        ranks = [none] + [svd.rank for svd in self.svds] + [none]
+        return [(np.maximum(obj.dim_array - b - w, 0), b, w)
+                for obj, b, w in zip(self.objects, ranks, ranks[1:])]
+
+    @cached_property
+    def harmonic_spaces(self) -> list:
+        """The objects Harm^i, of the harmonic widths."""
+        return [HObject(obj.backend, h) for obj, (h, _, _) in zip(self.objects, self.widths)]
+
+    @cached_property
+    def std_frames(self) -> list:
+        """Per degree, the frames (B^i, W^i) in standardized coordinates:
+        the image of d_{i-1} and the co-image of d_i; B^0 and the last W
+        are empty."""
+        images = [_no_columns(self.objects[0])] + [svd.image() for svd in self.svds]
+        coimages = [svd.coimage() for svd in self.svds] + [_no_columns(self.objects[-1])]
+        return list(zip(images, coimages))
+
+    @cached_property
+    def std_harmonic(self) -> list:
+        """Per degree, the frames of Harm^i in standardized coordinates:
+        the complement of B^i and W^i side by side."""
+        return [complement(Fibers([(idx, np.concatenate(st, axis=2)) for idx, st in align(b, w)],
+                                  b.n))
+                for b, w in self.std_frames]
+
+    @cached_property
+    def harmonic(self) -> list:
+        return [subobject_from_std_frames(o, h) for o, h in zip(self.objects, self.std_harmonic)]
+
+    @cached_property
+    def boundaries(self) -> list:  # boundaries[i] = cl(im d_{i-1}) in C^i
+        return [subobject_from_std_frames(o, b) for o, (b, _) in zip(self.objects, self.std_frames)]
+
+    @cached_property
+    def coexact(self) -> list:  # coexact[i] = W^i = (ker d_i)^perp
+        return [subobject_from_std_frames(o, w) for o, (_, w) in zip(self.objects, self.std_frames)]
 
     def detclass(self) -> list:
         """Determinant-class verdict of each degree: degree i certifies the
@@ -133,12 +187,12 @@ class HodgeSplit:
         """Trace-Betti numbers of the complex: the harmonic dimensions plus
         the mass of the values whose s^2 the Laplacian's rank cut counts as
         kernel, those of d_{i-1} and of d_i in degree i."""
-        kernel = [[np.zeros(0, np.intp)] for _ in self.harmonic]
+        kernel = [[np.zeros(0, np.intp)] for _ in self.objects]
         for i, (v, cut) in enumerate(zip(self.singular, self.clear)):
             for fibers, clear in zip(kernel[i:i + 2], cut):
                 fibers.append(v.fiber[~clear])
         return [h.dim_tau + float(self.weights[np.concatenate(k)].sum())
-                for h, k in zip(self.harmonic, kernel)]
+                for h, k in zip(self.harmonic_spaces, kernel)]
 
 
 def _laplacian_cut(singular: list, weights: np.ndarray, tol: float) -> list:
@@ -156,24 +210,14 @@ def _laplacian_cut(singular: list, weights: np.ndarray, tol: float) -> list:
 
 
 def hodge_split(c: ChainComplexC, tol: float = DEFAULT_RANK_TOL) -> HodgeSplit:
-    split = HodgeSplit([], [], [], [], [], [], c.backend.fiber_weights, [])
+    split = HodgeSplit(c.objects, [], [], [], [], c.backend.fiber_weights, [])
     scale = c.fiber_scales()
-    # standardized frames of B^i = cl(im d_{i-1}) and of W^i; B^0 and the
-    # last W are empty
-    images, coimages = [_no_columns(c.objects[0])], []
     for d in c.diffs:
         svd = fiber_svds(d, tol, scale)
-        images.append(svd.image())
-        coimages.append(svd.coimage())
+        split.svds.append(svd)
         split.singular.append(svd.kept())
         split.densities.append(SpectralDensity.from_fibers(split.singular[-1], split.weights))
         split.verdicts.append(classify_determinant(split.densities[-1]))
-    coimages.append(_no_columns(c.objects[-1]))
-    for obj, b, w in zip(c.objects, images, coimages):
-        split.boundaries.append(subobject_from_std_frames(obj, b))
-        split.coexact.append(subobject_from_std_frames(obj, w))
-        both = Fibers([(idx, np.concatenate(st, axis=2)) for idx, st in align(b, w)], b.n)
-        split.harmonic.append(subobject_from_std_frames(obj, complement(both)))
     split.clear = _laplacian_cut(split.singular, split.weights, tol)
     return split
 
@@ -198,7 +242,7 @@ def _fold(split: HodgeSplit, values: list, prefix: str) -> tuple:
         if verdict.convergent:
             log_coeff += (-1) ** (i + 1) * kept.log_det(split.weights)
             continue
-        space = HObject(split.coexact[i].ambient.backend, kept.counts(len(split.weights)))
+        space = HObject(split.objects[i].backend, kept.counts(len(split.weights)))
         if space.dim_tau > 0:
             word.append((Frame(space, f"{prefix}:W{i}"), (-1) ** i))
             word.append((Frame(space, f"{prefix}:B{i + 1}"), (-1) ** (i + 1)))
@@ -230,7 +274,7 @@ def _pushed(c, split, sigma, values, prefix) -> DetLineElement:
     if any(obj.dim_tau > 0 and not m for obj, m in zip(c.objects, matched)):
         raise L2TorsionError("input element does not match det of the complex")
     folded, unfolded = _fold(split, values, prefix)
-    word = alternating_word([h.space for h in split.harmonic], prefix)
+    word = alternating_word(split.harmonic_spaces, prefix)
     return DetLineElement(word + tuple(unfolded), log_coeff + folded)
 
 
@@ -364,49 +408,69 @@ def _split_parts(c: ChainComplexC, split: HodgeSplit, low: list, small: bool = T
     in each fiber it selects trailing columns: the large side is then a
     leading block of columns of every frame.
 
-    The fibers are grouped once, by the widths of every Hodge frame and by
-    every cut. Within a group every frame of both parts is a plain slice of
-    the Hodge frames, and every compressed differential one batched product.
+    With ``small`` the stacks cover every fiber and are taken in the
+    coordinates of c, from the frames of the split's subobjects. Without
+    it they cover only the fibers ``fibers`` that hold a column of the
+    large part, and are taken in standardized coordinates, from the frames
+    ``svd.image()`` and ``svd.coimage()`` and the standardized blocks: no
+    harmonic frame, no subobject and no stack of an empty large part is
+    built. Those fibers are grouped once, by the widths of every Hodge
+    frame and by every cut. Within a group every frame of both parts is a
+    plain slice of the Hodge frames, and every compressed differential one
+    batched product.
 
-    Returns the groups (arrays of fiber indices), the parts, the large one
-    first, and the dimensions of the large part in each degree, one per
-    fiber. A part is (frames, diffs): ``frames[i]`` and ``diffs[i]`` hold
-    one stack per group, of the part's frames in C^i and of d_i compressed
-    between the part's frames, both in standardized coordinates.
+    Returns ``fibers``, the groups (arrays of positions in ``fibers``), the
+    parts, the large one first, and the dimensions of the large part in
+    each degree, one per fiber of ``fibers``. A part is (frames, diffs):
+    ``frames[i]`` and ``diffs[i]`` hold one stack per group, of the part's
+    frames in C^i and of d_i compressed between the part's frames.
     """
     n = c.backend.n_fibers
     none = np.zeros(n, int)
-    # large[i] counts, per fiber, the leading columns of boundaries[i]
-    # (values of d_{i-1}) and large[i + 1] those of coexact[i] (values of d_i)
+    # large[i] counts, per fiber, the leading columns of B^i (values of
+    # d_{i-1}) and large[i + 1] those of W^i (values of d_i)
     large = [none] + [v.select(~m).counts(n) for v, m in zip(split.singular, low)] + [none]
-    hodge = [(h.frames, b.frames, w.frames)
-             for h, b, w in zip(split.harmonic, split.boundaries, split.coexact)]
-    # one mixed-radix key over every width (one fiber needs none), below
-    # ``bound`` and renumbered densely before it could overflow
+    widths = [lb + lw for lb, lw in zip(large, large[1:])]
+    # one mixed-radix key over every width that is not all zero (one fiber
+    # needs none), below ``bound`` and renumbered densely before it could
+    # overflow
     key, bound = none, 1
-    for width in ([x.sizes(1) for fr in hodge for x in fr] + large[1:-1] if n > 1 else ()):
+    for width in ([x for ws in split.widths for x in ws] + large[1:-1] if n > 1 else ()):
         radix = int(width.max()) + 1
+        if radix == 1:
+            continue
         if bound * radix > 1 << 62:
             key = np.unique(key, return_inverse=True)[1]
             bound = int(key.max()) + 1
         key, bound = key * radix + width, bound * radix
+    if small:
+        fibers = fiber_range(n)
+        hodge = [(h.frames, b.frames, w.frames)
+                 for h, b, w in zip(split.harmonic, split.boundaries, split.coexact)]
+        maps = [(d.blocks, obj.gram) for d, obj in zip(c.diffs, c.objects[1:])]
+    else:
+        fibers = np.flatnonzero(np.any(widths, axis=0))
+        key, widths = key[fibers], [w[fibers] for w in widths]
+        hodge = [(None, b, w) for b, w in split.std_frames]
+        maps = [(d.standardized_blocks(), None) for d in c.diffs]
     groups = [idx for idx, _ in partition(key)]
     # per part (large, then small) and degree, one stack per group of the
     # frames and of the compressed differentials
-    frames, blocks = ([[[] for _ in xs] for _ in range(1 + small)] for xs in (hodge, c.diffs))
+    frames, blocks = ([[[] for _ in xs] for _ in range(1 + small)] for xs in (hodge, maps))
     for idx in groups:
+        at = idx if small else fibers[idx]
         for i, ((h, b, w), lb, lw) in enumerate(zip(hodge, large, large[1:])):
-            bv, wv, kb, kw = b.take(idx), w.take(idx), lb[idx[0]], lw[idx[0]]
+            bv, wv, kb, kw = b.take(at), w.take(at), lb[at[0]], lw[at[0]]
             frames[0][i].append(np.concatenate([bv[:, :, :kb], wv[:, :, :kw]], axis=2))
             if small:
                 frames[1][i].append(
-                    np.concatenate([h.take(idx), bv[:, :, kb:], wv[:, :, kw:]], axis=2))
-        for i, d in enumerate(c.diffs):
-            db, p = d.blocks.take(idx), c.objects[i + 1].gram
+                    np.concatenate([h.take(at), bv[:, :, kb:], wv[:, :, kw:]], axis=2))
+        for i, (d, p) in enumerate(maps):
+            db = d.take(at)
             for fr, bl in zip(frames, blocks):
                 v = hermitian(fr[i + 1][-1])
-                bl[i].append((v if p is None else v @ p.take(idx)) @ (db @ fr[i][-1]))
-    return groups, list(zip(frames, blocks)), [lb + lw for lb, lw in zip(large, large[1:])]
+                bl[i].append((v if p is None else v @ p.take(at)) @ (db @ fr[i][-1]))
+    return fibers, groups, list(zip(frames, blocks)), widths
 
 
 def split_complex(c: ChainComplexC, eps: float, tol: float = DEFAULT_RANK_TOL):
@@ -427,7 +491,7 @@ def split_complex(c: ChainComplexC, eps: float, tol: float = DEFAULT_RANK_TOL):
     carry the rounding of c's.
     """
     split = hodge_split(c, tol)
-    groups, parts, _ = _split_parts(c, split, _low(split, eps))
+    _, groups, parts, _ = _split_parts(c, split, _low(split, eps))
     n, norm = c.backend.n_fibers, max((d.norm() for d in c.diffs), default=0.0)
     out = []
     for frames, diffs in parts:
@@ -511,7 +575,7 @@ def _torsion(c, split, sigma, epsilon, tol, out_prefix) -> TorsionReport:
         # norm of c; the small part is built only for it, and it needs two
         # differentials
         checked = len(c.diffs) > 1
-        groups, parts, widths = _split_parts(c, split, low, checked)
+        fibers, groups, parts, widths = _split_parts(c, split, low, checked)
         if checked:
             norm = max(d.norm() for d in c.diffs)
             for _, diffs in parts:
@@ -521,9 +585,8 @@ def _torsion(c, split, sigma, epsilon, tol, out_prefix) -> TorsionReport:
             # the part has a spectral gap, so its log-determinants converge
             log_rho_large = sum((-1) ** (i + 1) * v.select(~m).log_det(split.weights)
                                 for i, (v, m) in enumerate(zip(split.singular, low)))
-            n, (_, large_diffs) = len(split.weights), parts[0]
-            stacks = [Fibers(list(zip(groups, g)), n) for g in large_diffs]
-            via_laplacian = _laplacian_torsion(stacks, widths, split.weights, tol)
+            stacks = [Fibers(list(zip(groups, g)), len(fibers)) for g in parts[0][1]]
+            via_laplacian = _laplacian_torsion(stacks, widths, split.weights[fibers], tol)
             checks["large_part_formulas"] = _check_formulas(via_laplacian, log_rho_large)
 
     betti = split.betti()

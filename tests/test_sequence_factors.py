@@ -360,15 +360,20 @@ def _counting_subobjects(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_hodge_split_builds_three_subobjects_per_degree(seed, monkeypatch):
-    """boundaries, co-exact part and harmonic part, and nothing else."""
+    """None when the split is taken; reading the boundaries, co-exact part
+    and harmonic part builds those three per degree, once, and nothing
+    else."""
     rng = np.random.default_rng(seed)
     c = _ragged_complex_with_cohomology(rng, 5, products=True)
     L, M, N, _, _ = random_exact_triple(rng, length=3, acyclic="N")
     made = _counting_subobjects(monkeypatch)
     for complex_ in (c, L, M, N):
         made.clear()
-        hodge_split(complex_)
-        assert len(made) == 3 * complex_.length
+        split = hodge_split(complex_)
+        assert len(made) == 0
+        for _ in range(2):
+            split.harmonic, split.boundaries, split.coexact
+            assert len(made) == 3 * complex_.length
 
 
 @pytest.fixture

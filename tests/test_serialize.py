@@ -3,6 +3,8 @@
 The declared dimensions fix the shape of every block, empty ones included,
 and an object whose products are not all standard carries them, one matrix
 per fiber, so that the round trip keeps the Fuglede-Kadison determinant.
+The JSON text of ``dumps`` is that of ``json.dumps(indent=2,
+sort_keys=True)``, byte for byte, errors included.
 """
 
 import json
@@ -10,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l2torsion.backends import (
     BackendKind,
@@ -137,3 +141,61 @@ def test_standard_objects_write_the_same_json():
         "target_dims": [2],
         "data": [[[3.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]],
     }
+
+
+# ---------------------------------------------------------------------------
+# the JSON text is the standard library's, byte for byte
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),  # nan and +-inf included
+    st.floats(allow_nan=False).map(np.float64),
+    st.text(),  # non-ASCII and control characters included
+)
+_PAYLOADS = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner),
+    st.lists(inner).map(tuple),
+    st.lists(st.floats()),
+    st.dictionaries(st.text(), inner),
+    # keys the writer leaves to the standard library, one sortable kind each
+    st.dictionaries(st.one_of(st.integers(), st.booleans()), inner),
+    st.dictionaries(st.floats(allow_nan=False), inner),
+    st.dictionaries(st.none(), inner),
+), max_leaves=40)
+
+
+@given(obj=_PAYLOADS)
+@settings(max_examples=200, deadline=None)
+def test_dumps_is_the_standard_library_text(obj):
+    assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("obj", [
+    {"a": np.int64(3)},  # a type json does not write
+    [1.0, object()],
+    {"a": 1, 2: 3},  # keys that do not sort together
+])
+def test_dumps_raises_what_the_standard_library_raises(obj):
+    with pytest.raises(TypeError) as want:
+        json.dumps(obj, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as got:
+        dumps(obj)
+    assert str(got.value) == str(want.value)
+
+
+def test_dumps_reports_a_cycle_as_the_standard_library_does():
+    obj = {"a": []}
+    obj["a"].append(obj)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        dumps(obj)
+
+
+def test_dumps_writes_every_cli_example_as_the_standard_library():
+    from l2torsion.cli import EXAMPLES
+
+    for build in EXAMPLES.values():
+        obj = build()
+        assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
