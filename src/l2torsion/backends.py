@@ -1148,16 +1148,12 @@ def fiber_svds(
     return FiberSVD(tuple(groups), rank)
 
 
-def kernel_and_image_closure(
-    f: Morphism, tol: float = DEFAULT_RANK_TOL, svd: FiberSVD | None = None
-):
+def kernel_and_image_closure(f: Morphism):
     """Orthonormal frames for ker f and cl(im f), fiberwise, with the rank
-    decision of :func:`fiber_svds` (``svd``, when the caller has already
-    decomposed f).
+    decision of :func:`fiber_svds` at the default cut.
 
     Returns (kernel SubObject, image-closure SubObject).
     """
-    if svd is None:
-        svd = fiber_svds(f, tol)
+    svd = fiber_svds(f)
     return (subobject_from_std_frames(f.source, svd.kernel()),
             subobject_from_std_frames(f.target, svd.image()))

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backends import (
+    DEFAULT_RANK_TOL,
     Fibers,
     HObject,
     Morphism,
@@ -46,7 +47,7 @@ from .errors import (
     UnsupportedCellError,
 )
 from .extcoh import ChainComplexC
-from .torsion import TorsionReport, complex_det_element, torsion
+from .torsion import TorsionReport, torsion
 
 
 # ---------------------------------------------------------------------------
@@ -498,17 +499,17 @@ def combinatorial_torsion(
     rep: Representation,
     sigma_log: float = 0.0,
     epsilon: float | None = None,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_RANK_TOL,
 ) -> TorsionReport:
     """Combinatorial L2-torsion of the complex with the given coefficients.
 
-    The volume element of the module, raised to the Euler characteristic,
-    is carried through the cochain complex and the torsion pipeline. The
-    representation must be unimodular (all generator images of unit
-    Fuglede-Kadison determinant); then the result does not depend on the
-    chosen cell lifts, and for Euler characteristic zero it does not depend
-    on the volume element either. ``sigma_log`` scales the module volume
-    element by exp(sigma_log).
+    ``sigma_log`` scales the volume element of the module by
+    exp(sigma_log). Raised to the Euler characteristic chi, it is the volume
+    element of det(C) that :func:`l2torsion.torsion.torsion` takes, as its
+    log-coefficient chi * sigma_log. The representation must be unimodular
+    (all generator images of unit Fuglede-Kadison determinant); then the
+    result does not depend on the chosen cell lifts, and for Euler
+    characteristic zero it does not depend on the volume element either.
     """
     defect = rep.unimodular_defect()
     if defect >= 1e-8:
@@ -516,9 +517,7 @@ def combinatorial_torsion(
             f"generator determinant defect {defect:.2e} exceeds 1e-8"
         )
     c = cochain_complex(k, rep)
-    chi = k.euler_characteristic
-    sigma = complex_det_element(c, log_coeff=chi * sigma_log)
-    return torsion(c, sigma, epsilon=epsilon, tol=tol)
+    return torsion(c, k.euler_characteristic * sigma_log, epsilon=epsilon, tol=tol)
 
 
 @dataclass

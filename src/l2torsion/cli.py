@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .backends import check_rank_tol
+from .backends import DEFAULT_RANK_TOL, check_rank_tol
 from .cellular import (
     cochain_complex,
     circle_complex,
@@ -58,7 +58,9 @@ EXIT_NO_SCALAR = 3
 
 @dataclass
 class RunConfig:
-    """Validated batch-run configuration."""
+    """Validated batch-run configuration. A command reads only its own
+    flags (:data:`FLAGS`); the header records every field, at its default
+    where the command has no flag for it."""
 
     command: str
     complex_path: str | None = None
@@ -66,7 +68,7 @@ class RunConfig:
     morphism_path: str | None = None
     grid: int | None = None
     epsilon: float | None = None
-    tol_rank: float = 1e-10
+    tol_rank: float = DEFAULT_RANK_TOL
     seed: int = DEFAULT_SEED
     suite: str = "all"
     out: str | None = None
@@ -229,6 +231,30 @@ def cmd_examples(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+# each flag, as argparse takes it; its dest is the RunConfig field it sets
+ARGUMENTS = {
+    "complex": {"dest": "complex_path"},
+    "rep": {"dest": "rep_path"},
+    "morphism": {"dest": "morphism_path"},
+    "grid": {"type": int},
+    "epsilon": {"type": float},
+    "tol-rank": {"type": float},
+    "seed": {"type": int},
+    "suite": {"choices": ("all", "fast")},
+    "out": {},
+}
+
+# the flags each command reads; any other flag is a usage error
+FLAGS = {
+    "torsion": ("complex", "rep", "grid", "epsilon", "tol-rank", "out"),
+    "fkdet": ("morphism", "tol-rank", "out"),
+    "density": ("morphism", "tol-rank", "out"),
+    "detclass": ("complex", "rep", "grid", "tol-rank", "out"),
+    "checks": ("seed", "suite", "out"),
+    "examples": ("out",),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="l2torsion",
@@ -236,17 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("torsion", "fkdet", "density", "detclass", "checks", "examples"):
-        p = sub.add_parser(name)
-        p.add_argument("--complex", dest="complex_path")
-        p.add_argument("--rep", dest="rep_path")
-        p.add_argument("--morphism", dest="morphism_path")
-        p.add_argument("--grid", type=int)
-        p.add_argument("--epsilon", type=float)
-        p.add_argument("--tol-rank", type=float, default=1e-10)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--suite", default="all", choices=("all", "fast"))
-        p.add_argument("--out")
+    for name, flags in FLAGS.items():
+        # a flag left out is left out of the namespace: RunConfig supplies
+        # its default
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **ARGUMENTS[flag])
     return parser
 
 
@@ -271,20 +292,10 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    settings = vars(args)
+    del settings["verbose"]
     try:
-        cfg = RunConfig(
-            command=args.command,
-            complex_path=args.complex_path,
-            rep_path=args.rep_path,
-            morphism_path=args.morphism_path,
-            grid=args.grid,
-            epsilon=args.epsilon,
-            tol_rank=args.tol_rank,
-            seed=args.seed,
-            suite=args.suite,
-            out=args.out,
-        )
-        return run(cfg)
+        return run(RunConfig(**settings))
     except (InputValidationError, L2TorsionError) as exc:
         log.error("%s", exc)
         return EXIT_INVALID

@@ -23,12 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backends import (
-    DEFAULT_RANK_TOL,
     FiberSVD,
     Fibers,
     HObject,
     Morphism,
-    align,
     compose,
     fiber_svds,
     hermitian,
@@ -160,10 +158,7 @@ def rebase_products(
 
 
 def push_forward(
-    element: DetLineElement,
-    f: Morphism,
-    new_label: str | None = None,
-    tol: float = DEFAULT_RANK_TOL,
+    element: DetLineElement, f: Morphism, new_label: str | None = None
 ) -> DetLineElement:
     """Transport the element's one frame over f.source along the weak iso f.
 
@@ -173,7 +168,7 @@ def push_forward(
     certifies it. The coefficient becomes infinite when the certificate is
     Divergent and NaN when it is Inconclusive, keeping the element well formed.
     """
-    log_det, verdict = fk_det_extended(f, tol)
+    log_det, verdict = fk_det_extended(f)
     if not (verdict.injective and verdict.dense_image):
         raise NotAnIsomorphismError("push_forward needs an injective dense map")
     candidates = [fr.label for fr, _ in element.word if fr.obj.same_space(f.source)]
@@ -204,9 +199,7 @@ def alternating_word(spaces, prefix: str) -> tuple:
                  for i, obj in enumerate(spaces) if obj.dim_tau > 0)
 
 
-def orthogonal_section(
-    beta: Morphism, tol: float = DEFAULT_RANK_TOL, svd: FiberSVD | None = None
-) -> Morphism:
+def orthogonal_section(beta: Morphism, svd: FiberSVD | None = None) -> Morphism:
     """Right inverse of a surjection landing in the orthocomplement of ker.
 
     Fiberwise the pseudo-inverse Vh[:r]^H diag(1/s[:r]) U[:, :r]^H over the
@@ -215,7 +208,7 @@ def orthogonal_section(
     coordinates.
     """
     if svd is None:
-        svd = fiber_svds(beta, tol)
+        svd = fiber_svds(beta)
     sections = svd.pick(
         lambda u, s, vh, r: (hermitian(vh[:, :r]) / s[:, None, :r]) @ hermitian(u[:, :, :r])
     )
@@ -230,12 +223,7 @@ def orthogonal_section(
     return Morphism(beta.target, beta.source, Fibers(groups, sections.n))
 
 
-def check_exactness(
-    alpha: Morphism,
-    beta: Morphism,
-    tol: float = DEFAULT_RANK_TOL,
-    vectors: bool = False,
-) -> tuple:
+def check_exactness(alpha: Morphism, beta: Morphism, vectors: bool = False) -> tuple:
     """Verify sub --alpha--> total --beta--> quot is short exact; raise if not.
 
     Decomposes each map once with :func:`fiber_svds` (values only unless
@@ -251,8 +239,8 @@ def check_exactness(
     scale = max(alpha.norm() * beta.norm(), 1.0)
     if largest_block_norm(comp) > 1e-8 * scale:
         raise NotExactError("composition beta alpha is not numerically zero")
-    alpha_svd = fiber_svds(alpha, tol, vectors=vectors)
-    beta_svd = fiber_svds(beta, tol, vectors=vectors)
+    alpha_svd = fiber_svds(alpha, vectors=vectors)
+    beta_svd = fiber_svds(beta, vectors=vectors)
     rank_a, rank_b = alpha_svd.rank, beta_svd.rank
     if np.any(rank_a != alpha.source.dim_array):
         raise NotExactError("the sub map is not injective")
@@ -278,26 +266,15 @@ def induced_sub_object(alpha: Morphism) -> HObject:
     return alpha.source.with_products(_pulled_back(alpha, alpha.target))
 
 
-def induced_quotient_object(
-    beta: Morphism, tol: float = DEFAULT_RANK_TOL, svd: FiberSVD | None = None
-) -> tuple:
+def induced_quotient_object(beta: Morphism, svd: FiberSVD | None = None) -> tuple:
     """Quotient object with the product induced by the orthogonal splitting.
 
     Returns ``(object, section)`` where the section is the right inverse of
     beta landing in the orthocomplement of its kernel (read off ``svd``
     when given).
     """
-    section = orthogonal_section(beta, tol, svd)
+    section = orthogonal_section(beta, svd)
     return beta.target.with_products(_pulled_back(section, beta.source)), section
-
-
-def _products_differ(a: HObject, b: HObject) -> bool:
-    """Whether the products of two objects over the same space differ in
-    some fiber by more than 1e-10 relative to b's."""
-    return any(
-        np.any(np.linalg.norm(x - y, axis=(1, 2)) > 1e-10 * np.linalg.norm(y, axis=(1, 2)))
-        for _, (x, y) in align(a.product_fibers(), b.product_fibers())
-    )
 
 
 def exact_sequence_iso(
@@ -305,7 +282,6 @@ def exact_sequence_iso(
     beta: Morphism,
     element: DetLineElement,
     total_label: str = "total",
-    tol: float = DEFAULT_RANK_TOL,
 ) -> DetLineElement:
     """Canonical iso det(total) -> det(sub) (x) det(quot) for a short exact
     sequence sub --alpha--> total --beta--> quot.
@@ -314,19 +290,16 @@ def exact_sequence_iso(
     sub object is re-equipped with the product pulled back along alpha
     and the quotient with the product carried over from the orthocomplement
     of ker(beta); in those induced frames the assembled block map
-    (alpha, section) is a product-isometry, so the coefficient is unchanged.
-    Re-express the induced frames with :func:`rebase_products` to compare
-    against natively framed elements.
+    (alpha, section) is a product-isometry. Each frame is first rebased
+    from its own products onto those of alpha.target by the exact factor
+    of :func:`_rebase_factor` (-0.0 when they are the same, so the
+    coefficient then stays bit for bit as it was). Re-express the induced
+    frames with :func:`rebase_products` to compare against natively framed
+    elements.
     """
-    _, beta_svd = check_exactness(alpha, beta, tol, vectors=True)
+    _, beta_svd = check_exactness(alpha, beta, vectors=True)
     sub_obj = induced_sub_object(alpha)
-    quot_obj, _ = induced_quotient_object(beta, tol, beta_svd)
+    quot_obj, _ = induced_quotient_object(beta, beta_svd)
     new_frames = (Frame(sub_obj, "sub"), Frame(quot_obj, "quot"))
-
-    def replace(frame):
-        # a frame over other products than the maps' is rebased onto theirs
-        # first, so that the block map is an isometry
-        differ = _products_differ(frame.obj, alpha.target)
-        return new_frames, _rebase_factor(frame.obj, alpha.target) if differ else 0.0
-
-    return _rewrite(element, total_label, alpha.target, replace)
+    return _rewrite(element, total_label, alpha.target,
+                    lambda frame: (new_frames, _rebase_factor(frame.obj, alpha.target)))

@@ -112,7 +112,7 @@ class ExtendedObject:
         return ns_exponent(self.torsion_profile)
 
 
-def extended_object(alpha: Morphism, tol: float = DEFAULT_RANK_TOL) -> ExtendedObject:
+def extended_object(alpha: Morphism) -> ExtendedObject:
     """Normalize a morphism into an extended object.
 
     Everything is read off one fiberwise SVD U diag(s) Vh of alpha
@@ -124,7 +124,7 @@ def extended_object(alpha: Morphism, tol: float = DEFAULT_RANK_TOL) -> ExtendedO
     coordinates of the orthocomplement of the kernel, so an injective alpha
     keeps identity source coordinates.
     """
-    return _extended(alpha, fiber_svds(alpha, tol))
+    return _extended(alpha, fiber_svds(alpha))
 
 
 def _extended(alpha: Morphism, svd) -> ExtendedObject:
@@ -362,7 +362,7 @@ def cohomology(c: ChainComplexC, tol: float = DEFAULT_RANK_TOL) -> CohomologyPro
     ])
 
 
-def determinant_class_test(c: ChainComplexC, tol: float = DEFAULT_RANK_TOL) -> list:
+def determinant_class_test(c: ChainComplexC) -> list:
     """Per-degree determinant-class verdicts for the complex.
 
     Degree i classifies the kept singular values of d_{i-1} on the
@@ -372,7 +372,7 @@ def determinant_class_test(c: ChainComplexC, tol: float = DEFAULT_RANK_TOL) -> l
     """
     from .torsion import hodge_split  # torsion imports this module
 
-    return hodge_split(c, tol).detclass()
+    return hodge_split(c).detclass()
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +402,6 @@ def extended_pushforward(
     f: Morphism,
     fprime: Morphism,
     element: DetLineElement,
-    tol: float = DEFAULT_RANK_TOL,
 ) -> DetLineElement:
     """Push an element of det(X) to det(Y) along an extended-category iso [f].
 
@@ -422,7 +421,7 @@ def extended_pushforward(
     check_extended_morphism(x, y, f, fprime)
     g, h = _graph_map(x, y, f, fprime)
     try:
-        g_svd, h_svd = check_exactness(g, h, tol)
+        g_svd, h_svd = check_exactness(g, h)
     except NotExactError as exc:
         raise NotAnIsomorphismError(
             f"mapping sequence of [f] is not exact: {exc}"
@@ -460,11 +459,7 @@ class KernelCokernelLines:
 
 
 def kernel_cokernel_lines(
-    x: ExtendedObject,
-    y: ExtendedObject,
-    f: Morphism,
-    fprime: Morphism,
-    tol: float = DEFAULT_RANK_TOL,
+    x: ExtendedObject, y: ExtendedObject, f: Morphism, fprime: Morphism
 ) -> KernelCokernelLines:
     """Kernel and cokernel of [f]: X -> Y in the extended category.
 
@@ -473,7 +468,7 @@ def kernel_cokernel_lines(
     """
     check_extended_morphism(x, y, f, fprime)
     g, h = _graph_map(x, y, f, fprime)
-    svd = fiber_svds(h, tol)
+    svd = fiber_svds(h)
     kernel = subobject_from_std_frames(h.source, svd.kernel())
     iota = kernel.compress(g, full_subobject(g.source))
-    return KernelCokernelLines(extended_object(iota, tol), _extended(h, svd))
+    return KernelCokernelLines(extended_object(iota), _extended(h, svd))

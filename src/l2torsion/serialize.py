@@ -329,6 +329,10 @@ def representation_to_json(rep: Representation) -> dict:
 
 
 def representation_from_json(d: dict, grid: int | None = None) -> Representation:
+    """The representation of a JSON object. ``grid``, when given, replaces
+    the sample count of a ``regular_s1`` representation; any other
+    representation has no grid, and raises :class:`InputValidationError`
+    when given one."""
     pi_d = d.get("pi", {})
     images = d.get("images", {})
     if "regular_s1" in images:
@@ -336,6 +340,8 @@ def representation_from_json(d: dict, grid: int | None = None) -> Representation
         if not isinstance(spec, dict):
             raise InputValidationError("'regular_s1' must be an object")
         return circle_regular_representation(grid or spec.get("grid", 1024))
+    if grid is not None:
+        raise InputValidationError("a grid applies only to a 'regular_s1' representation")
     if "finite" in pi_d:
         pi = finite_pi(pi_d["finite"])
         if images.get("regular"):

@@ -155,7 +155,7 @@ def spectral_density(m: Morphism, tol: float = DEFAULT_RANK_TOL) -> SpectralDens
 # Fuglede-Kadison determinant
 
 
-def log_fk_det(f: Morphism, tol: float = DEFAULT_RANK_TOL) -> float:
+def log_fk_det(f: Morphism) -> float:
     """log of the Fuglede-Kadison determinant of f.
 
     Defined as the logarithmic moment of the singular value density over the
@@ -163,11 +163,11 @@ def log_fk_det(f: Morphism, tol: float = DEFAULT_RANK_TOL) -> float:
     the determinant of the positive part of |f|: the weighted log sum of the
     kept values of one values-only :func:`fiber_svds`, with no density.
     """
-    return fiber_svds(f, tol, vectors=False).log_det(f.backend.fiber_weights)
+    return fiber_svds(f, vectors=False).log_det(f.backend.fiber_weights)
 
 
-def fk_det(f: Morphism, tol: float = DEFAULT_RANK_TOL) -> float:
-    return math.exp(log_fk_det(f, tol))
+def fk_det(f: Morphism) -> float:
+    return math.exp(log_fk_det(f))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +276,7 @@ def fk_det_extended(f: Morphism, tol: float = DEFAULT_RANK_TOL):
     return verdict.log_integral, verdict
 
 
-def tau_isomorphism_test(f: Morphism, tol: float = DEFAULT_RANK_TOL) -> DetClassVerdict:
+def tau_isomorphism_test(f: Morphism) -> DetClassVerdict:
     """Decide whether f is an isomorphism in the trace-completed sense.
 
     f qualifies when it is injective with dense image and the extended
@@ -286,7 +286,7 @@ def tau_isomorphism_test(f: Morphism, tol: float = DEFAULT_RANK_TOL) -> DetClass
     verdict is that of :func:`fk_det_extended`, demoted when the image is
     not dense.
     """
-    _, verdict = fk_det_extended(f, tol)
+    _, verdict = fk_det_extended(f)
     if not verdict.dense_image and verdict.status == "Convergent":
         verdict.status = "Divergent"
         verdict.log_integral = -math.inf

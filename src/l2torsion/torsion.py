@@ -48,7 +48,6 @@ from .backends import (
 from .detline import (
     DetLineElement,
     Frame,
-    _rebase_factor,
     alternating_word,
     check_exactness,
     orthogonal_section,
@@ -67,10 +66,10 @@ from .spectral import (
 )
 
 
-def complex_det_element(c: ChainComplexC, log_coeff: float = 0.0) -> DetLineElement:
-    """Volume element exp(log_coeff) of det(C) = (x)_i det(C^i)^((-1)^i), in
-    the frames "C"i."""
-    return DetLineElement(alternating_word(c.objects, "C"), log_coeff)
+def complex_det_element(c: ChainComplexC) -> DetLineElement:
+    """Unit volume element of det(C) = (x)_i det(C^i)^((-1)^i), in the frames
+    "C"i."""
+    return DetLineElement(alternating_word(c.objects, "C"))
 
 
 def _no_columns(obj: HObject) -> Fibers:
@@ -249,36 +248,18 @@ def _fold(split: HodgeSplit, values: list, prefix: str) -> tuple:
     return log_coeff, word
 
 
-def _pushed(c, split, sigma, values, prefix) -> DetLineElement:
-    """sigma (the unit volume element of det(C) when None) pushed through nu
-    on the part of the split whose singular values of d_i are ``values[i]``:
-    its coefficient rebased onto the complex's products, the harmonic
-    frames, and the part folded by :func:`_fold`.
-
-    Each frame of sigma is matched to its degree and rebased from its own
-    products onto the complex's; raises when sigma is not an element of
-    det(C).
-    """
-    if sigma is None:
-        sigma = complex_det_element(c)
-    log_coeff = sigma.log_coeff
-    matched = [False] * c.length
-    for frame, e in sigma.word:
-        for i, obj in enumerate(c.objects):
-            if not matched[i] and frame.obj.same_space(obj) and e == (-1) ** i:
-                log_coeff += e * _rebase_factor(frame.obj, obj)
-                matched[i] = True
-                break
-        else:
-            raise L2TorsionError("input element does not match det of the complex")
-    if any(obj.dim_tau > 0 and not m for obj, m in zip(c.objects, matched)):
-        raise L2TorsionError("input element does not match det of the complex")
+def _pushed(split: HodgeSplit, log_coeff: float, values: list, prefix: str) -> DetLineElement:
+    """exp(log_coeff) times the unit volume element of det(C) in C's own
+    frames (:func:`complex_det_element`), pushed through nu on the part of
+    the split whose singular values of d_i are ``values[i]``: the harmonic
+    frames ``prefix``i, and the part folded by :func:`_fold` into the
+    coefficient or the word."""
     folded, unfolded = _fold(split, values, prefix)
     word = alternating_word(split.harmonic_spaces, prefix)
     return DetLineElement(word + tuple(unfolded), log_coeff + folded)
 
 
-def nu_map(c: ChainComplexC, tol: float = DEFAULT_RANK_TOL) -> DetLineElement:
+def nu_map(c: ChainComplexC) -> DetLineElement:
     """Canonical isomorphism nu: det(C) -> det(extended cohomology of C), on
     the unit volume element of det(C), in the harmonic frames "H"i.
 
@@ -291,8 +272,8 @@ def nu_map(c: ChainComplexC, tol: float = DEFAULT_RANK_TOL) -> DetLineElement:
     certified convergent are left unfolded: their co-exact/boundary frames
     stay in the word and no scalar contribution is recorded for them.
     """
-    split = hodge_split(c, tol)
-    return _pushed(c, split, None, split.singular, "H")
+    split = hodge_split(c)
+    return _pushed(split, 0.0, split.singular, "H")
 
 
 def _check_formulas(via_laplacian: float, via_svd: float) -> float:
@@ -335,9 +316,7 @@ def _laplacian_torsion(std: list, dims: list, weights: np.ndarray, tol: float) -
     return total
 
 
-def torsion_acyclic(
-    c: ChainComplexC, tol: float = DEFAULT_RANK_TOL, cross_check: bool = True
-) -> float:
+def torsion_acyclic(c: ChainComplexC, cross_check: bool = True) -> float:
     """log-torsion of a strictly acyclic complex.
 
     Computed by the Laplacian formula (1/2) sum_i (-1)^i i log Det(Delta_i)
@@ -347,9 +326,10 @@ def torsion_acyclic(
     1e-8 raises.
     """
     total = _laplacian_torsion([d.standardized_blocks() for d in c.diffs],
-                               [o.dim_array for o in c.objects], c.backend.fiber_weights, tol)
+                               [o.dim_array for o in c.objects], c.backend.fiber_weights,
+                               DEFAULT_RANK_TOL)
     if cross_check:
-        via_nu = nu_map(c, tol=tol)
+        via_nu = nu_map(c)
         if via_nu.word:
             raise NotAcyclicError("complex is not acyclic within tolerance")
         _check_formulas(total, via_nu.log_coeff)
@@ -381,20 +361,20 @@ def _epsilon(split: HodgeSplit) -> float | None:
     return max(math.sqrt(lo * hi), hi * 1e-12)
 
 
-def default_epsilon(c: ChainComplexC, tol: float = DEFAULT_RANK_TOL) -> float | None:
+def default_epsilon(c: ChainComplexC) -> float | None:
     """Geometric mean of the smallest above-threshold and the largest
     Laplacian eigenvalue; None when there is no positive spectrum.
 
     The eigenvalues are the squared singular values of the Hodge split;
-    in each degree and fiber those at or below tol times the largest one
-    count as zero, as they would for the Laplacian itself. Clamped from
-    below at 1e-12 times the spectral top: when the spectrum accumulates at
-    zero (the non-determinant-class situation) the geometric mean
-    collapses, and the cut must stay high enough that the upper part
+    in each degree and fiber those at or below ``DEFAULT_RANK_TOL`` times
+    the largest one count as zero, as they would for the Laplacian itself.
+    Clamped from below at 1e-12 times the spectral top: when the spectrum
+    accumulates at zero (the non-determinant-class situation) the geometric
+    mean collapses, and the cut must stay high enough that the upper part
     remains numerically invertible; the near-zero mass belongs to the lower
     part, where it is reported through its certificate instead of a number.
     """
-    return _epsilon(hodge_split(c, tol))
+    return _epsilon(hodge_split(c))
 
 
 def _split_parts(c: ChainComplexC, split: HodgeSplit, low: list, small: bool = True):
@@ -473,7 +453,7 @@ def _split_parts(c: ChainComplexC, split: HodgeSplit, low: list, small: bool = T
     return fibers, groups, list(zip(frames, blocks)), widths
 
 
-def split_complex(c: ChainComplexC, eps: float, tol: float = DEFAULT_RANK_TOL):
+def split_complex(c: ChainComplexC, eps: float):
     """Split C into the [0, eps] and (eps, inf) spectral subcomplexes.
 
     Membership is decided once per singular value of the restricted
@@ -490,7 +470,7 @@ def split_complex(c: ChainComplexC, eps: float, tol: float = DEFAULT_RANK_TOL):
     as their reference norm (``check_norm``), since their differentials
     carry the rounding of c's.
     """
-    split = hodge_split(c, tol)
+    split = hodge_split(c)
     _, groups, parts, _ = _split_parts(c, split, _low(split, eps))
     n, norm = c.backend.n_fibers, max((d.norm() for d in c.diffs), default=0.0)
     out = []
@@ -528,12 +508,17 @@ class TorsionReport:
 
 def torsion(
     c: ChainComplexC,
-    sigma: DetLineElement | None = None,
+    sigma_log: float = 0.0,
     epsilon: float | None = None,
     tol: float = DEFAULT_RANK_TOL,
     out_prefix: str = "H",
 ) -> TorsionReport:
     """Torsion of the complex as an element of det of extended cohomology.
+
+    It is the image under nu of exp(sigma_log) times the unit volume
+    element of det(C) in C's own frames (:func:`complex_det_element`).
+    det(C) is a line, so that coefficient is all there is to choose, and
+    it adds ``sigma_log`` to ``combined.log_coeff``.
 
     The complex is decomposed once, by :func:`hodge_split`, and everything
     is read off its singular values s:
@@ -556,10 +541,10 @@ def torsion(
     """
     if epsilon is not None and not epsilon > 0.0:
         raise InputValidationError("epsilon must be positive")
-    return _torsion(c, hodge_split(c, tol), sigma, epsilon, tol, out_prefix)
+    return _torsion(c, hodge_split(c, tol), sigma_log, epsilon, tol, out_prefix)
 
 
-def _torsion(c, split, sigma, epsilon, tol, out_prefix) -> TorsionReport:
+def _torsion(c, split, sigma_log, epsilon, tol, out_prefix) -> TorsionReport:
     """The body of :func:`torsion`, on the Hodge split of c already taken."""
     if epsilon is None:
         epsilon = _epsilon(split)
@@ -567,8 +552,7 @@ def _torsion(c, split, sigma, epsilon, tol, out_prefix) -> TorsionReport:
 
     low = _low(split, math.inf if epsilon is None else epsilon)
     small = [v.select(m) for v, m in zip(split.singular, low)]
-    # the small part first, so that a mismatched sigma raises before the split
-    rho_small = _pushed(c, split, sigma, small, out_prefix)
+    rho_small = _pushed(split, sigma_log, small, out_prefix)
     log_rho_large, checks = 0.0, {}
     if epsilon is not None:
         # both parts get the d^2 = 0 check of a ChainComplexC, against the
@@ -650,7 +634,6 @@ def les_connecting_iso(
     N: ChainComplexC,
     alpha: list,
     beta: list,
-    tol: float = DEFAULT_RANK_TOL,
 ) -> LesIsomorphism:
     """Connecting isomorphism of a degreewise short exact sequence of
     complexes 0 -> L -> M -> N -> 0.
@@ -665,11 +648,11 @@ def les_connecting_iso(
     (-1)^i (log Det alpha_i - log Det beta_i), read off the kept singular
     values of the SVDs that also give the exactness ranks and the sections.
     """
-    harmonic = [hodge_split(x, tol).harmonic for x in (L, M, N)]
-    return _les_connecting_iso(L, M, N, alpha, beta, tol, harmonic)
+    harmonic = [hodge_split(x).harmonic for x in (L, M, N)]
+    return _les_connecting_iso(L, M, N, alpha, beta, harmonic)
 
 
-def _les_connecting_iso(L, M, N, alpha, beta, tol, harmonic) -> LesIsomorphism:
+def _les_connecting_iso(L, M, N, alpha, beta, harmonic) -> LesIsomorphism:
     """The body of :func:`les_connecting_iso`, on harmonic frames already taken."""
     n = M.length
     if L.length != n or N.length != n:
@@ -677,11 +660,11 @@ def _les_connecting_iso(L, M, N, alpha, beta, tol, harmonic) -> LesIsomorphism:
     _is_chain_map(alpha, L, M)
     _is_chain_map(beta, M, N)
     # the sections and the base change read the SVDs of the exactness check
-    svds = [check_exactness(a, b, tol, vectors=True) for a, b in zip(alpha, beta)]
+    svds = [check_exactness(a, b, vectors=True) for a, b in zip(alpha, beta)]
     hl, hm, hn = harmonic
 
-    alpha_pinv = [orthogonal_section(a, tol, sa) for a, (sa, _) in zip(alpha, svds)]
-    beta_sec = [orthogonal_section(b, tol, sb) for b, (_, sb) in zip(beta, svds)]
+    alpha_pinv = [orthogonal_section(a, sa) for a, (sa, _) in zip(alpha, svds)]
+    beta_sec = [orthogonal_section(b, sb) for b, (_, sb) in zip(beta, svds)]
 
     objects = tuple(h[i].space for i in range(n) for h in (hl, hm, hn))
     diffs = []
@@ -691,7 +674,7 @@ def _les_connecting_iso(L, M, N, alpha, beta, tol, harmonic) -> LesIsomorphism:
             zig = compose(alpha_pinv[i + 1], compose(M.diffs[i], beta_sec[i]))
             diffs.append(hl[i + 1].compress(zig, hn[i]))
     les = ChainComplexC(objects, tuple(diffs))
-    rho = nu_map(les, tol=tol)
+    rho = nu_map(les)
     if rho.word:
         raise NotAcyclicError(
             "long exact sequence complex is not acyclic; the input sequence "
@@ -751,12 +734,7 @@ class ConeCheckReport:
     cone_report: TorsionReport
 
 
-def cone_torsion_check(
-    c: ChainComplexC,
-    ctilde: ChainComplexC,
-    f_list,
-    tol: float = DEFAULT_RANK_TOL,
-) -> ConeCheckReport:
+def cone_torsion_check(c: ChainComplexC, ctilde: ChainComplexC, f_list) -> ConeCheckReport:
     """Verify the cone torsion identity rho_cone = delta(rho_sub (x) rho_quot).
 
     The cone sits in the sequence 0 -> C~[1] -> Cone -> C(-d) -> 0; both
@@ -766,10 +744,11 @@ def cone_torsion_check(
     they differ by at most ``CONE_AGREE_TOL``.
     """
     cone, inclusions, projections, sub, quot = _cone_sequence(c, ctilde, f_list)
-    splits = [hodge_split(x, tol) for x in (sub, cone, quot)]  # one split per complex
-    rho_sub, rho_cone, rho_quot = (_torsion(x, split, None, None, tol, prefix) for x, split, prefix
-                                   in zip((sub, cone, quot), splits, ("HL", "H", "HN")))
-    delta = _les_connecting_iso(sub, cone, quot, inclusions, projections, tol,
+    splits = [hodge_split(x) for x in (sub, cone, quot)]  # one split per complex
+    rho_sub, rho_cone, rho_quot = (
+        _torsion(x, split, 0.0, None, DEFAULT_RANK_TOL, prefix)
+        for x, split, prefix in zip((sub, cone, quot), splits, ("HL", "H", "HN")))
+    delta = _les_connecting_iso(sub, cone, quot, inclusions, projections,
                                 [split.harmonic for split in splits])
     lhs = delta.apply(rho_sub.combined.tensor(rho_quot.combined))
     log_lhs = lhs.log_coeff

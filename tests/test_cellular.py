@@ -218,6 +218,19 @@ class TestSigmaAndBetti:
         b = combinatorial_torsion(circle_complex(), rep, sigma_log=0.9)
         assert a.scalar_value == pytest.approx(b.scalar_value, abs=1e-12)
 
+    @pytest.mark.parametrize("sigma_log", [-0.4, 0.9])
+    def test_sigma_log_scales_a_point_by_chi(self, sigma_log):
+        """One vertex: chi = 1, so the volume element exp(sigma_log) comes
+        out as the coefficient of the one harmonic frame."""
+        point = cellular.CellComplex({"v": 0}, {}, infinite_cyclic_pi())
+        rep = circle_unit_representation(-1.0 + 0.0j)
+        assert point.euler_characteristic == 1
+        base = combinatorial_torsion(point, rep)
+        report = combinatorial_torsion(point, rep, sigma_log=sigma_log)
+        assert base.combined.log_coeff == 0.0
+        assert report.combined.log_coeff == sigma_log
+        assert [(f.label, e) for f, e in report.combined.word] == [("H0", 1)]
+
     def test_torus_quotient_has_cohomology(self):
         rep = regular_representation(finite_pi(torus_quotient_complex(3).pi.table))
         report = combinatorial_torsion(torus_quotient_complex(3), rep)

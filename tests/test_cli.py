@@ -16,6 +16,7 @@ from l2torsion.backends import (
     uniform_interval_samples,
 )
 from l2torsion.cli import EXIT_INVALID, EXIT_NO_SCALAR, EXIT_OK, main
+from l2torsion.harness import DEFAULT_SEED
 from l2torsion.serialize import morphism_to_json
 
 
@@ -219,3 +220,80 @@ class TestChecksCommand:
         assert code == EXIT_OK
         payload = _read(out / "checks.json")
         assert payload["results"]["passed"] is True
+
+
+# the flags each command reads, and a value for every flag
+READS = {
+    "torsion": ("complex", "rep", "grid", "epsilon", "tol-rank", "out"),
+    "fkdet": ("morphism", "tol-rank", "out"),
+    "density": ("morphism", "tol-rank", "out"),
+    "detclass": ("complex", "rep", "grid", "tol-rank", "out"),
+    "checks": ("seed", "suite", "out"),
+    "examples": ("out",),
+}
+VALUES = {"complex": "k.json", "rep": "r.json", "morphism": "m.json", "grid": "64",
+          "epsilon": "0.5", "tol-rank": "1e-9", "seed": "5", "suite": "fast", "out": "o"}
+HEADER = {"version", "command", "tolerances", "grid", "epsilon", "seed"}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, reads in READS.items()
+        for flag in VALUES if flag not in reads
+    ])
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"--{flag}", VALUES[flag]])
+        assert exc.value.code == EXIT_INVALID
+        assert f"--{flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["torsion", "detclass"])
+    def test_complex_commands_read_every_flag(self, command, inputs, tmp_path):
+        values = {"complex": str(inputs / "circle.json"),
+                  "rep": str(inputs / "rep_circle_regular.json"), "out": str(tmp_path / "o")}
+        args = [command] + [x for flag in READS[command]
+                            for x in (f"--{flag}", values.get(flag, VALUES[flag]))]
+        assert main(args) == EXIT_OK
+        payload = _read(tmp_path / "o" / f"{command}.json")
+        assert HEADER <= set(payload)
+        assert payload["grid"] == 64 and payload["tolerances"] == {"rank": 1e-9}
+        assert payload["epsilon"] == (0.5 if command == "torsion" else None)
+        assert payload["seed"] == DEFAULT_SEED
+
+    @pytest.mark.parametrize("command, name", [("fkdet", "fkdet.json"), ("density", "density.csv")])
+    def test_morphism_commands_read_every_flag(self, command, name, tmp_path):
+        obj = matrix_object(matrix_backend(), 2)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(morphism_to_json(
+            matrix_morphism(obj, obj, [[3.0, 0.0], [0.0, 1e-8]]))))
+        out = tmp_path / "o"
+        # 1e-8 falls under the cut 1e-6 * 3, so the map has a kernel: no
+        # determinant (exit 3) and kernel mass in the density
+        code = main([command, "--morphism", str(path), "--tol-rank", "1e-6", "--out", str(out)])
+        assert code == (EXIT_NO_SCALAR if command == "fkdet" else EXIT_OK)
+        if command == "density":
+            rows = (out / name).read_text().strip().splitlines()[1:]
+            assert [float(r.split(",")[0]) for r in rows] == pytest.approx([0.0, 3.0])
+            return
+        payload = _read(out / name)
+        assert HEADER <= set(payload)
+        assert payload["tolerances"] == {"rank": 1e-6}
+        assert (payload["grid"], payload["epsilon"], payload["seed"]) == (None, None, DEFAULT_SEED)
+
+    def test_checks_reads_every_flag(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["checks", "--seed", "5", "--suite", "fast", "--out", str(out)]) == EXIT_OK
+        payload = _read(out / "checks.json")
+        assert HEADER <= set(payload)
+        assert payload["seed"] == 5 and payload["tolerances"] == {"rank": 1e-10}
+        assert (payload["grid"], payload["epsilon"]) == (None, None)
+
+    def test_grid_without_a_grid_is_rejected(self, inputs):
+        """Only a regular_s1 representation has a grid to set."""
+        code = main([
+            "torsion",
+            "--complex", str(inputs / "lens_5_1.json"),
+            "--rep", str(inputs / "rep_lens5_character.json"),
+            "--grid", "64",
+        ])
+        assert code == EXIT_INVALID

@@ -181,6 +181,19 @@ class TestExactSequences:
         labels = sorted(fr.label for fr, _ in y.word)
         assert labels == ["quot", "sub"]
 
+    @pytest.mark.parametrize("rel", [1e-12, -3e-11, 1e-6])
+    def test_iso_rebases_nearby_products_by_their_factor(self, rng, rel):
+        """A frame over products that differ from the total's, even by less
+        than 1e-10, is rebased by the exact factor -(n/2) log(1 + rel)."""
+        alpha, beta = _split_triple(rng)
+        n = alpha.target.dim_tau
+        near = matrix_object(alpha.target.backend, int(n), product=(1.0 + rel) * np.eye(int(n)))
+        y = exact_sequence_iso(alpha, beta, standard_element(near, "total"))
+        assert y.log_coeff != 0.0
+        assert y.log_coeff == pytest.approx(-0.5 * n * math.log1p(rel), rel=1e-3)
+        same = exact_sequence_iso(alpha, beta, standard_element(alpha.target, "total"))
+        assert same.log_coeff == 0.0
+
     def test_iso_rebased_to_native_measures_base_change(self, rng):
         """Rebasing the split to native frames recovers det of [alpha, gamma]."""
         alpha, beta = _split_triple(rng)

@@ -113,3 +113,60 @@ def test_options_no_caller_sets_are_constants():
     for fn, names in removed.items():
         assert not names & set(inspect.signature(fn).parameters), fn.__qualname__
     assert not hasattr(backends.HObject, "products")
+
+
+def test_rank_cut_only_where_a_caller_sets_it():
+    """``tol`` is a parameter of the entry points that set or thread a rank
+    cut; the functions below them use ``DEFAULT_RANK_TOL``. torsion takes
+    the coefficient of its volume element, not an element."""
+    import inspect
+
+    from l2torsion import backends, cellular, detline, extcoh, spectral, torsion
+
+    removed = {
+        backends.kernel_and_image_closure: {"tol", "svd"},
+        detline.push_forward: {"tol"},
+        detline.orthogonal_section: {"tol"},
+        detline.check_exactness: {"tol"},
+        detline.induced_quotient_object: {"tol"},
+        detline.exact_sequence_iso: {"tol"},
+        extcoh.extended_object: {"tol"},
+        extcoh.determinant_class_test: {"tol"},
+        extcoh.extended_pushforward: {"tol"},
+        extcoh.kernel_cokernel_lines: {"tol"},
+        spectral.log_fk_det: {"tol"},
+        spectral.fk_det: {"tol"},
+        spectral.tau_isomorphism_test: {"tol"},
+        torsion.nu_map: {"tol"},
+        torsion.torsion_acyclic: {"tol"},
+        torsion.default_epsilon: {"tol"},
+        torsion.split_complex: {"tol"},
+        torsion.les_connecting_iso: {"tol"},
+        torsion._les_connecting_iso: {"tol"},
+        torsion.cone_torsion_check: {"tol"},
+        torsion.torsion: {"sigma"},
+        torsion.complex_det_element: {"log_coeff"},
+    }
+    kept = [
+        backends.fiber_svds, torsion.hodge_split, torsion.torsion, torsion._torsion,
+        torsion._laplacian_torsion, torsion._laplacian_cut, extcoh.cohomology,
+        cellular.combinatorial_torsion, spectral.fk_det_extended,
+        spectral.singular_density, spectral.spectral_density,
+    ]
+    for fn, names in removed.items():
+        assert not names & set(inspect.signature(fn).parameters), fn.__qualname__
+    for fn in kept:
+        assert "tol" in inspect.signature(fn).parameters, fn.__qualname__
+    assert "sigma_log" in inspect.signature(torsion.torsion).parameters
+    assert {"svd"} <= set(inspect.signature(detline.orthogonal_section).parameters)
+    assert {"svd"} <= set(inspect.signature(detline.induced_quotient_object).parameters)
+    for fn in (cellular.combinatorial_torsion, torsion.torsion):
+        assert inspect.signature(fn).parameters["tol"].default == backends.DEFAULT_RANK_TOL
+
+
+def test_settable_values_lists_every_default():
+    """The settable-values audit parses the library and finds the rank cut
+    of torsion() set by a caller."""
+    out = _run_script("settable_values.py", "--all")
+    assert out.startswith("defaulted parameters: ")
+    assert "\n  torsion:torsion(tol)\n" in out  # an unset entry ends in "[unset]"

@@ -353,3 +353,20 @@ def test_circle_laplacians_take_no_zero_maps_and_no_eigvalsh(monkeypatch):
     assert "large_part_formulas" in report.checks
     assert zero_maps == []
     assert sum(eig_matrices) == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("sigma_log", [-1.25, 0.7, 3.0])
+def test_sigma_log_moves_only_the_coefficient(seed, sigma_log):
+    """torsion(c, sigma_log) is the image of exp(sigma_log) times the unit
+    volume element: only the coefficient moves, by sigma_log."""
+    rng = np.random.default_rng(seed)
+    make = random_acyclic_complex if seed % 2 else random_complex_with_cohomology
+    c = make(rng, 3)
+    base, moved = torsion(c), torsion(c, sigma_log=sigma_log)
+    assert moved.epsilon == base.epsilon and moved.log_rho_large == base.log_rho_large
+    assert [(f.label, e) for f, e in moved.combined.word] == [
+        (f.label, e) for f, e in base.combined.word]
+    shift = moved.combined.log_coeff - base.combined.log_coeff
+    assert shift == pytest.approx(sigma_log, rel=0.0,
+                                  abs=1e-14 * (1.0 + abs(base.combined.log_coeff)))
