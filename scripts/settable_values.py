@@ -3,7 +3,7 @@
 
 A settable value is a parameter of a function or method in
 ``src/l2torsion/`` that has a default, or a field of a dataclass there that
-has one. For each, the script lists the call sites in ``src/``, ``tests/``,
+has one. For each, the script finds the call sites in ``src/``, ``tests/``,
 ``scripts/`` and ``benchmark/`` that set it: by keyword, by position, or
 through ``*args`` (every positional slot from the star on) or ``**kwargs``
 (every parameter). Calls are matched by the last name of the callee
@@ -14,15 +14,14 @@ match is by name only, so it errs towards finding a setter. A site that
 passes on, by bare name, a defaulted parameter of the library function it
 sits in sets the entry only if that parameter is set in turn.
 
-Usage, from anywhere:
+It prints, for parameters and for fields, the totals and the entries that
+nothing sets, each with the sites that pass it on. Usage, from anywhere:
 
-    python3 scripts/settable_values.py            # totals and unset entries
-    python3 scripts/settable_values.py --all      # every entry and its setters
+    python3 scripts/settable_values.py
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import sys
@@ -208,20 +207,16 @@ def entries() -> list:
     return sorted(out, key=lambda e: (e.kind, e.owner, e.name))
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--all", action="store_true", help="list every entry and its setters")
-    args = parser.parse_args(argv)
+def main() -> int:
     found = entries()
     for kind, label in (("param", "defaulted parameters"), ("field", "defaulted dataclass fields")):
         of_kind = [e for e in found if e.kind == kind]
         unset = [e for e in of_kind if not e.is_set]
         print(f"{label}: {len(of_kind)}, set by no caller: {len(unset)}")
-        for e in of_kind if args.all else unset:
-            mark = "  [unset]" if args.all and not e.is_set else ""
-            print(f"  {e.owner}({e.name}){mark}")
-            for site, v in e.setters:
-                print(f"      {site}" + ("" if v is None else f" (passes on {v.owner}({v.name}))"))
+        for e in unset:
+            print(f"  {e.owner}({e.name})")
+            for site, v in e.setters:  # an unset entry is only passed on
+                print(f"      {site} (passes on {v.owner}({v.name}))")
     return 0
 
 

@@ -165,8 +165,7 @@ def test_rank_cut_only_where_a_caller_sets_it():
 
 
 def test_settable_values_lists_every_default():
-    """The settable-values audit parses the library and finds the rank cut
-    of torsion() set by a caller."""
-    out = _run_script("settable_values.py", "--all")
-    assert out.startswith("defaulted parameters: ")
-    assert "\n  torsion:torsion(tol)\n" in out  # an unset entry ends in "[unset]"
+    """The settable-values audit finds a caller that sets every defaulted
+    parameter of the library."""
+    out = _run_script("settable_values.py")
+    assert out.startswith("defaulted parameters: 58, set by no caller: 0\n")
