@@ -9,7 +9,9 @@ records, for the checkout it lives in:
 - the ops of the first 60 ``random_suites`` rounds of seed 2 (the
   deviation each check returns);
 - the golden complexes of ``tests/test_golden.py``: the serialized torsion
-  report of each case, and the extended cohomology of each complex.
+  report of each case, and the extended cohomology of each complex;
+- the payloads of the ``checks`` command: the randomized suites, fast at
+  seed 3 and in full at seed 7.
 
 The workloads are read from ``benchmark/workloads.py`` as they stand.
 Usage, from anywhere:
@@ -33,6 +35,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FAMILY_SEEDS = (1, 3)
 SUITE_SEED, SUITE_ROUNDS = 2, 60
+CHECKS_RUNS = ((3, True), (7, False))  # (seed, fast) of run_all_suites
 
 
 def _import_checkout():
@@ -71,6 +74,14 @@ def _golden() -> dict:
     return out
 
 
+def _checks() -> dict:
+    from l2torsion.harness import run_all_suites
+    from l2torsion.serialize import dumps
+
+    return {f"checks/{seed}{'/fast' if fast else ''}": dumps(run_all_suites(seed=seed, fast=fast))
+            for seed, fast in CHECKS_RUNS}
+
+
 def record() -> dict:
     workloads = _import_checkout()
     out = {}
@@ -83,6 +94,7 @@ def record() -> dict:
         for k, op in enumerate(ops):
             out[f"random_suites/{SUITE_SEED}/{r}/{k}:{op.kind}"] = _op_output(op.run())
     out.update(_golden())
+    out.update(_checks())
     return out
 
 

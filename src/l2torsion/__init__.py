@@ -77,6 +77,7 @@ from .torsion import (
     les_connecting_iso,
     mapping_cone,
     nu_map,
+    sequence_torsion_check,
     torsion_acyclic,
 )
 from .cellular import (

@@ -6,8 +6,9 @@ Subcommands: ``torsion`` (cell complex + representation -> report),
 ``checks`` (randomized suites), ``examples`` (emit the bundled inputs).
 
 Exit codes: 0 success; 2 validation/parse failure; 3 when a scalar torsion
-was requested but the determinant-class certificate forbids one (the report
-with the line element is still written).
+was requested but the determinant-class certificate forbids one, or its
+exponential exp(log_coeff) lies outside float range (the report with the
+line element is still written).
 """
 
 from __future__ import annotations
@@ -148,6 +149,8 @@ def cmd_torsion(cfg: RunConfig) -> int:
             )
         if not report.combined.is_scalar:
             reasons.append("torsion element does not reduce to a scalar")
+        if not reasons and math.isfinite(report.combined.log_coeff):
+            reasons.append("exp(log_coeff) lies outside float range")
         log.warning("no scalar torsion: %s", "; ".join(reasons) or "see report")
         return EXIT_NO_SCALAR
     return EXIT_OK

@@ -390,26 +390,13 @@ _is_float = float.__instancecheck__
 _is_str = str.__instancecheck__
 
 
-def _scalar(o) -> str:
-    """The text of an instance of a subclass of str, int or float (bool and
-    None have none), tested in the order of the standard library's
-    pure-Python encoder."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _float_text(o)
-    raise _Unwritten
-
-
 def _write(o, level: int, out: list, prefix: str = "") -> None:
     """Append ``prefix`` and the text of o at nesting ``level`` to ``out``,
     as ``json.dumps(o, indent=2, sort_keys=True)`` writes it. Raises
-    :class:`_Unwritten` on a dict key that is not a str and on any type
-    that the standard library's encoder does not write itself. (No type is
-    both a scalar and a list, tuple or dict, so testing the containers
-    first keeps that encoder's order.)"""
+    :class:`_Unwritten` on a dict key that is not a str and on a value that
+    is neither a list, tuple or dict nor of exactly one of the ``_SCALARS``
+    types (a subclass of one, such as ``np.float64`` outside a list of
+    floats, is left to ``json.dumps``)."""
     text = _SCALARS.get(type(o))
     if text is not None:
         out.append(prefix + text(o))
@@ -439,7 +426,7 @@ def _write(o, level: int, out: list, prefix: str = "") -> None:
             sep = ","
         out.append("\n" + _INDENT * level + "}")
     else:
-        out.append(prefix + _scalar(o))
+        raise _Unwritten
 
 
 def dumps(obj) -> str:

@@ -272,7 +272,7 @@ def fk_det_extended(f: Morphism, tol: float = DEFAULT_RANK_TOL):
     density = singular_density(f, tol)
     verdict = classify_determinant(density)
     coker_mass = f.target.dim_tau - (f.source.dim_tau - density.zero_mass)
-    verdict.dense_image = abs(coker_mass) <= max(tol, CONVERGENCE_TOL)
+    verdict.dense_image = abs(coker_mass) <= CONVERGENCE_TOL  # a trace mass, not a rank cut
     return verdict.log_integral, verdict
 
 

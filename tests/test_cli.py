@@ -154,6 +154,46 @@ class TestMorphismCommands:
         assert main(["fkdet", "--morphism", str(path)]) == EXIT_INVALID
         assert "finite" in caplog.text
 
+    def test_fkdet_cokernel_at_a_coarse_rank_cut(self, tmp_path):
+        """A cokernel of mass 1/16 is not a dense image at --tol-rank 0.1."""
+        backend = family_backend(uniform_interval_samples(16))
+        blocks = [np.array([[2.0]])] * 15 + [np.array([[2.0], [0.0]])]
+        m = family_morphism(family_object(backend, 1), family_object(backend, (1,) * 15 + (2,)),
+                            blocks)
+        path, out = tmp_path / "m.json", tmp_path / "run"
+        path.write_text(json.dumps(morphism_to_json(m)))
+        main(["fkdet", "--morphism", str(path), "--tol-rank", "0.1", "--out", str(out)])
+        assert _read(out / "fkdet.json")["verdict"]["dense_image"] is False
+
+
+def _scaled_pairs(low: int, factor: int) -> dict:
+    """60 cells x_i of dimension ``low`` and 60 cells y_i one above, with
+    boundary factor * x_i, over the infinite cyclic group."""
+    xs = [f"x{i}" for i in range(60)]
+    ys = [f"y{i}" for i in range(60)]
+    return {
+        "pi": {"infinite_cyclic": True},
+        "cells": [[low, x] for x in xs] + [[low + 1, y] for y in ys],
+        "boundaries": {y: [[x, [[0, factor]]]] for x, y in zip(xs, ys)},
+    }
+
+
+class TestScalarOutsideFloatRange:
+    """log rho = +-60 ln 10^6 = +-828.9: exp overflows, or underflows to
+    0.0. The report keeps the log coefficient and withholds the scalar."""
+
+    @pytest.mark.parametrize("low, sign", [(1, 1.0), (0, -1.0)])
+    def test_exit_3_with_the_log_coefficient(self, inputs, tmp_path, caplog, low, sign):
+        path, out = tmp_path / "k.json", tmp_path / "run"
+        path.write_text(json.dumps(_scaled_pairs(low, 10**6)))
+        code = main(["torsion", "--complex", str(path),
+                     "--rep", str(inputs / "rep_lambda_minus1.json"), "--out", str(out)])
+        assert code == EXIT_NO_SCALAR
+        report = _read(out / "torsion.json")["report"]
+        assert report["scalar_value"] is None
+        assert report["combined"]["log_coeff"] == pytest.approx(sign * 60 * math.log(1e6))
+        assert "outside float range" in caplog.text
+
 
 class TestDetclassCommand:
     def test_circle_regular(self, inputs, tmp_path):

@@ -111,6 +111,23 @@ class TestFKDeterminant:
         assert log_fk_det(f) == pytest.approx(0.0, abs=1e-3)
 
 
+def _coker_sixteenth():
+    """On 16 uniform samples: the 1 x 1 block 2 on 15 fibers and [2, 0]^T on
+    the last, an injective map with a cokernel of trace mass 1/16."""
+    backend = family_backend(uniform_interval_samples(16))
+    blocks = [np.array([[2.0]])] * 15 + [np.array([[2.0], [0.0]])]
+    return family_morphism(family_object(backend, 1), family_object(backend, (1,) * 15 + (2,)),
+                           blocks)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-3, 0.1])
+def test_dense_image_compares_the_cokernel_mass_with_a_mass(tol):
+    """The cokernel's trace mass is held to CONVERGENCE_TOL, whatever the
+    relative rank cut."""
+    _, verdict = fk_det_extended(_coker_sixteenth(), tol)
+    assert verdict.injective and not verdict.dense_image
+
+
 class TestVerdicts:
     def test_linear_fibers_convergent(self):
         f = family_multiplication_map(uniform_interval_samples(10_000)[:, 0])

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from l2torsion import backends
-from l2torsion.backends import matrix_backend, matrix_morphism, matrix_object
+from l2torsion.backends import matrix_backend, matrix_morphism, matrix_object, zero_morphism
 from l2torsion.cellular import circle_complex, circle_regular_representation, cochain_complex
 from l2torsion.errors import (
     InputValidationError,
     NotAChainMapError,
     NotAcyclicError,
+    NotExactError,
 )
 from l2torsion.extcoh import ChainComplexC, cohomology
 from l2torsion.harness import (
@@ -21,6 +22,7 @@ from l2torsion.harness import (
     random_chain_map,
     random_complex_with_cohomology,
     random_exact_triple,
+    suite_exact_sequences,
 )
 from l2torsion.torsion import (
     TorsionReport,
@@ -29,6 +31,7 @@ from l2torsion.torsion import (
     les_connecting_iso,
     mapping_cone,
     nu_map,
+    sequence_torsion_check,
     split_complex,
     torsion,
     torsion_acyclic,
@@ -145,6 +148,17 @@ class TestTorsionReport:
         torsion(random_complex_with_cohomology(rng))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("value, sign", [(1e-6, 1.0), (1e6, -1.0)])
+    def test_scalar_outside_float_range_withheld(self, value, sign):
+        """d = value * I on a 60-dim Matrix object: log rho = +-60 ln 10^6,
+        whose exp overflows, or underflows to 0.0."""
+        obj = matrix_object(matrix_backend(), 60)
+        c = ChainComplexC((obj, obj), (matrix_morphism(obj, obj, value * np.eye(60)),))
+        r = torsion(c)
+        assert r.scalar_value is None
+        assert r.combined.is_scalar and r.determinant_class
+        assert r.combined.log_coeff == pytest.approx(sign * 60 * math.log(1e6))
+
     def test_nan_epsilon_rejected(self):
         c = random_acyclic_complex(np.random.default_rng(0), 3, 3)
         with pytest.raises(InputValidationError):
@@ -242,6 +256,80 @@ class TestExactSequences:
         maps[which] = m[:extra] if extra < 0 else m + m[:extra]
         with pytest.raises(InputValidationError, match="one map per degree"):
             les_connecting_iso(L, M, N, maps["alpha"], maps["beta"])
+
+
+def _count_calls(monkeypatch, name) -> list:
+    """The calls, from now on, of the torsion module's ``name``."""
+    module = sys.modules["l2torsion.torsion"]
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestSequenceCheck:
+    def test_equals_the_public_recipe(self):
+        """Bit for bit the deviation of torsion x 3, les_connecting_iso and
+        apply, on 30 seeded triples."""
+        rng = np.random.default_rng(26)
+        for t in range(30):
+            triple = random_exact_triple(
+                rng, length=int(rng.integers(2, 4)), acyclic=("L", "N", "both")[t % 3])
+            L, M, N, alphas, betas = triple
+            report = sequence_torsion_check(*triple)
+            rho_l = torsion(L, out_prefix="HL").combined
+            rho_n = torsion(N, out_prefix="HN").combined
+            delta = les_connecting_iso(L, M, N, alphas, betas)
+            log_lhs = delta.apply(rho_l.tensor(rho_n)).log_coeff
+            log_rhs = torsion(M).combined.log_coeff
+            assert (report.log_lhs, report.log_rhs) == (log_lhs, log_rhs)
+            assert report.deviation == abs(log_lhs - log_rhs)
+            assert report.passed
+
+    def test_splits_each_complex_once(self, rng, monkeypatch):
+        """L, M and N are split once each, for their torsion and for the
+        connecting isomorphism; only the long exact sequence is split
+        besides. The checks suite makes no other split."""
+        calls = _count_calls(monkeypatch, "hodge_split")
+        for which in ("L", "N", "both"):
+            triple = random_exact_triple(rng, length=3, acyclic=which)
+            calls.clear()
+            sequence_torsion_check(*triple)
+            assert len(calls) == 4
+        calls.clear()
+        suite_exact_sequences(trials=9)
+        assert len(calls) == 36
+
+    def test_builds_only_the_sections_it_reads(self, rng, monkeypatch):
+        """The zig-zag of degree i reads the sections of beta_i and
+        alpha_{i+1}: 2 (n - 1) sections for a sequence of length n."""
+        calls = _count_calls(monkeypatch, "orthogonal_section")
+        L, M, N, alphas, betas = random_exact_triple(rng, length=3, acyclic="both")
+        les_connecting_iso(L, M, N, alphas, betas)
+        assert len(calls) == 4
+
+    def test_rejects_non_chain_map(self, rng):
+        L, M, N, alphas, betas = random_exact_triple(rng, length=3, acyclic="both")
+        broken = list(alphas)
+        block = broken[0].blocks[0]
+        broken[0] = matrix_morphism(broken[0].source, broken[0].target,
+                                    block + rng.normal(size=block.shape))
+        with pytest.raises(NotAChainMapError):
+            sequence_torsion_check(L, M, N, broken, betas)
+
+    def test_rejects_non_exact_pair(self, rng):
+        """The zero maps M -> N form a chain map that is not onto."""
+        L, M, N, alphas, _ = random_exact_triple(rng, length=3, acyclic="both")
+        zeros = [zero_morphism(m, n) for m, n in zip(M.objects, N.objects)]
+        with pytest.raises(NotExactError):
+            les_connecting_iso(L, M, N, alphas, zeros)
+        with pytest.raises(NotExactError):
+            sequence_torsion_check(L, M, N, alphas, zeros)
 
 
 class TestCones:
