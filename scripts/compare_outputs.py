@@ -6,8 +6,16 @@ records, for the checkout it lives in:
 
 - every op of the ``family_grid`` benchmark workload for seeds 1 and 3
   (the serialized torsion report);
+- every op of the ``group_regular`` workload for seeds 1 and 3 (the
+  serialized torsion report);
 - the ops of the first 60 ``random_suites`` rounds of seed 2 (the
   deviation each check returns);
+- the sha256 of the bytes of every differential block that
+  ``cochain_complex`` builds for lens(128, 1), the torus quotient by
+  (Z/11)^2, lens(7, 2) and lens(5, 1) with three edges subdivided (whose
+  boundary entries include single negative terms) with regular
+  coefficients, the circle at grid 1024, lens(5, 1) under the Z/5
+  character and the circle with t -> -1;
 - the golden complexes of ``tests/test_golden.py``: the serialized torsion
   report of each case, and the extended cohomology of each complex;
 - the payloads of the ``checks`` command: the randomized suites, fast at
@@ -27,6 +35,7 @@ differs.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -34,6 +43,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FAMILY_SEEDS = (1, 3)
+GROUP_SEEDS = (1, 3)
 SUITE_SEED, SUITE_ROUNDS = 2, 60
 CHECKS_RUNS = ((3, True), (7, False))  # (seed, fast) of run_all_suites
 
@@ -74,6 +84,34 @@ def _golden() -> dict:
     return out
 
 
+def _cochains() -> dict:
+    from l2torsion import cellular as cel
+
+    subdivided = cel.lens_complex(5, 1)
+    for edge in ("e1", "e1.a", "e1.b"):
+        subdivided = cel.elementary_subdivision(subdivided, edge)
+    regular = {"lens(128,1)": cel.lens_complex(128, 1),
+               "torus(11)": cel.torus_quotient_complex(11),
+               "lens(7,2)": cel.lens_complex(7, 2),
+               "lens(5,1)+3 edges": subdivided}
+    cases = {f"{name}/regular": (k, cel.regular_representation(k.pi))
+             for name, k in regular.items()}
+    cases["circle/regular_s1(1024)"] = (cel.circle_complex(),
+                                        cel.circle_regular_representation(1024))
+    cases["lens(5,1)/character"] = (cel.lens_complex(5, 1),
+                                    cel.cyclic_character_representation(5, 1))
+    cases["circle/lambda_minus1"] = (cel.circle_complex(),
+                                     cel.circle_unit_representation(-1.0 + 0.0j))
+    out = {}
+    for name, (k, rep) in cases.items():
+        digest = hashlib.sha256()
+        for d in cel.cochain_complex(k, rep).diffs:
+            for _, stack in d.blocks.groups:
+                digest.update(stack.tobytes())
+        out[f"cochain/{name}"] = digest.hexdigest()
+    return out
+
+
 def _checks() -> dict:
     from l2torsion.harness import run_all_suites
     from l2torsion.serialize import dumps
@@ -89,10 +127,15 @@ def record() -> dict:
         for r, ops in enumerate(workloads.family_grid(seed)):
             for k, op in enumerate(ops):
                 out[f"family_grid/{seed}/{r}/{k}:{op.kind}"] = _op_output(op.run())
+    for seed in GROUP_SEEDS:
+        for r, ops in enumerate(workloads.group_regular(seed)):
+            for k, op in enumerate(ops):
+                out[f"group_regular/{seed}/{r}/{k}:{op.kind}"] = _op_output(op.run())
     suites = workloads.random_suites(SUITE_SEED)[:SUITE_ROUNDS]
     for r, ops in enumerate(suites):
         for k, op in enumerate(ops):
             out[f"random_suites/{SUITE_SEED}/{r}/{k}:{op.kind}"] = _op_output(op.run())
+    out.update(_cochains())
     out.update(_golden())
     out.update(_checks())
     return out

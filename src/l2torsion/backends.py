@@ -212,42 +212,29 @@ def circle_samples(n: int) -> np.ndarray:
 # group ring expansion helpers
 
 
-def left_regular_matrix(table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Complex matrix of left multiplication by sum_g coeffs[g] * g on l2(G)."""
-    n = table.shape[0]
-    out = np.zeros((n, n), dtype=complex)
-    cols = np.arange(n)
-    for g in range(n):
-        c = coeffs[g]
-        if c != 0:
-            out[table[g], cols] += c
-    return out
-
-
 def expand_group_matrix(table: np.ndarray, ring_matrix: np.ndarray) -> np.ndarray:
-    """Expand a (kt, ks, |G|) group-ring matrix to a kt|G| x ks|G| complex block."""
+    """Expand a (kt, ks, |G|) group-ring matrix to the kt|G| x ks|G| complex
+    block of left multiplication on l2(G): entry (g h, h) of block (i, j) is
+    the coefficient of g in entry (i, j), added into +0.0."""
     ring_matrix = np.asarray(ring_matrix, dtype=complex)
     kt, ks, n = ring_matrix.shape
     if n != table.shape[0]:
         raise ShapeMismatchError("group-ring coefficient length != group order")
-    out = np.zeros((kt * n, ks * n), dtype=complex)
-    for i in range(kt):
-        for j in range(ks):
-            out[i * n : (i + 1) * n, j * n : (j + 1) * n] = left_regular_matrix(
-                table, ring_matrix[i, j]
-            )
-    return out
+    # factor[k, h] is the g with g h = k
+    factor = np.empty((n, n), dtype=int)
+    factor[table, np.arange(n)] = np.arange(n)[:, None]
+    out = np.zeros((kt, n, ks, n), dtype=complex)
+    out += ring_matrix[:, :, factor].transpose(0, 2, 1, 3)
+    return out.reshape(kt * n, ks * n)
 
 
 def extract_group_coeffs(table: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`expand_group_matrix` (reads the identity column)."""
+    """Inverse of :func:`expand_group_matrix` (reads the identity columns)."""
     n = table.shape[0]
+    if block.shape[0] % n or block.shape[1] % n:
+        raise ShapeMismatchError(f"block of shape {block.shape} over a group of order {n}")
     kt, ks = block.shape[0] // n, block.shape[1] // n
-    out = np.zeros((kt, ks, n), dtype=complex)
-    for i in range(kt):
-        for j in range(ks):
-            out[i, j] = block[i * n : (i + 1) * n, j * n]
-    return out
+    return block[:, ::n].reshape(kt, n, ks).transpose(0, 2, 1).astype(complex, order="C")
 
 
 # ---------------------------------------------------------------------------
@@ -718,9 +705,17 @@ class Morphism:
         return Fibers(groups, self.blocks.n)
 
     def group_ring_coefficients(self) -> np.ndarray:
+        """The (kt, ks, |G|) group-ring matrix of a FiniteGroup morphism;
+        raises :class:`ShapeMismatchError` for a block that is none, within
+        1e-10 * max(1, Frobenius norm)."""
         if self.backend.kind is not BackendKind.FINITE_GROUP:
             raise BackendMismatchError("not a FiniteGroup morphism")
-        return extract_group_coeffs(self.backend.group_table, self.blocks[0])
+        table, block = self.backend.group_table, self.blocks[0]
+        coeffs = extract_group_coeffs(table, block)
+        size = max(1.0, float(np.linalg.norm(block)))
+        if np.linalg.norm(expand_group_matrix(table, coeffs) - block) > 1e-10 * size:
+            raise ShapeMismatchError("block does not commute with the group action")
+        return coeffs
 
     def __matmul__(self, other: "Morphism") -> "Morphism":
         return compose(self, other)

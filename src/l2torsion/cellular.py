@@ -23,17 +23,16 @@ from .backends import (
     HObject,
     Morphism,
     add,
-    align,
     check_group_table,
     circle_samples,
     compose,
     cyclic_group_table,
+    expand_group_matrix,
     family_backend,
     family_object,
     fiber_svds,
     group_backend,
     group_object,
-    group_ring_morphism,
     identity_morphism,
     largest_block_norm,
     matrix_backend,
@@ -44,6 +43,7 @@ from .errors import (
     InputValidationError,
     NotAChainComplexError,
     NotUnimodularError,
+    ShapeMismatchError,
     UnsupportedCellError,
 )
 from .extcoh import ChainComplexC
@@ -303,38 +303,33 @@ def _deviation(a: Morphism, b: Morphism) -> float:
     return largest_block_norm(add(a, scale_morphism(b, -1.0)))
 
 
+def _linear_sum(s: GroupRingSum, image):
+    """sum c * image(t) over the terms (t, c) of s, from the first term on."""
+    first, *rest = (coeff * image(tok) for tok, coeff in s)
+    return sum(rest, first)
+
+
 @dataclass(eq=False)
 class Representation:
-    """Action of the fundamental group on a coefficient module.
+    """Action of the fundamental group, extended linearly to the group ring.
 
-    ``image_fn(token)`` must return an invertible endomorphism of ``module``
-    for every group token appearing in boundary data. ``generators`` lists
-    tokens whose images certify unimodularity: :func:`generating_set` for a
-    finite group, t for the infinite cyclic group. The Fuglede-Kadison
-    determinant is multiplicative on invertible maps, so unit determinants
-    on generators give unit determinants on the whole group.
+    ``sum_blocks(s)`` gives the unchecked fiber blocks (:class:`Fibers`) of
+    the action of a nonzero group-ring sum s on ``module``; every token acts
+    invertibly. ``generators`` lists tokens whose images certify
+    unimodularity: :func:`generating_set` for a finite group, t for the
+    infinite cyclic group. The Fuglede-Kadison determinant is multiplicative
+    on invertible maps, so unit determinants on generators give unit
+    determinants on the whole group.
     """
 
     pi: PiSpec
     module: HObject
-    image_fn: object
+    sum_blocks: object
     generators: tuple
     descriptor: dict = field(default_factory=dict)
 
     def image(self, token: int) -> Morphism:
-        return self.image_fn(token)
-
-    def sum_image(self, s: GroupRingSum):
-        """Fiber blocks (:class:`Fibers`) of the image of a group-ring sum
-        (None for zero): the image stacks scaled and added group by group.
-        They are checked where they become a differential, in
-        :func:`cochain_complex`."""
-        total = None
-        for tok, coeff in s:
-            term = self.image(tok).blocks.map(lambda b: coeff * b)
-            total = term if total is None else Fibers(
-                [(idx, a + b) for idx, (a, b) in align(total, term)], total.n)
-        return total
+        return Morphism(self.module, self.module, self.sum_blocks(((token, 1),)))
 
     def check_relations(self) -> None:
         """Raise :class:`InputValidationError` unless the images obey the
@@ -387,23 +382,25 @@ def matrix_representation(pi: PiSpec, images: dict | list,
         if len(mats) != pi.order:
             raise InputValidationError("need one image per group element")
         n = mats[0].shape[0]
+        if any(m.shape != (n, n) for m in mats):
+            raise ShapeMismatchError(f"every image must be a {n} x {n} matrix")
         obj = matrix_object(backend, n)
 
-        def image_fn(tok: int) -> Morphism:
-            return Morphism(obj, obj, (mats[tok],))
+        def sum_blocks(s: GroupRingSum) -> Fibers:
+            return Fibers.stack(_linear_sum(s, mats.__getitem__)[None])
 
-        return Representation(pi, obj, image_fn, tuple(generating_set(pi)),
+        return Representation(pi, obj, sum_blocks, tuple(generating_set(pi)),
                               descriptor or {})
     t = np.asarray(images[1] if isinstance(images, dict) else images, complex)
     n = t.shape[0]
     obj = matrix_object(backend, n)
     t_inv = np.linalg.inv(t)
 
-    def image_fn(tok: int) -> Morphism:
-        base = t if tok >= 0 else t_inv
-        return Morphism(obj, obj, (np.linalg.matrix_power(base, abs(tok)),))
+    def sum_blocks(s: GroupRingSum) -> Fibers:
+        return Fibers.stack(_linear_sum(s, lambda tok: np.linalg.matrix_power(
+            t if tok >= 0 else t_inv, abs(tok)))[None])
 
-    return Representation(pi, obj, image_fn, (1,), descriptor or {})
+    return Representation(pi, obj, sum_blocks, (1,), descriptor or {})
 
 
 def regular_representation(pi: PiSpec) -> Representation:
@@ -415,12 +412,16 @@ def regular_representation(pi: PiSpec) -> Representation:
     backend = group_backend(table)
     obj = group_object(backend, 1)
 
-    def image_fn(tok: int) -> Morphism:
+    def sum_blocks(s: GroupRingSum) -> Fibers:
+        # sum c * image(t) has -0.0 at its zeros when every c < 0 (c * 0 is
+        # -0.0), where an expansion has +0.0: such a sum expands as -1 * (-s)
+        sign = -1 if all(c < 0 for _, c in s) else 1
         coeffs = np.zeros((1, 1, pi.order), complex)
-        coeffs[0, 0, tok] = 1.0
-        return group_ring_morphism(obj, obj, coeffs)
+        for tok, coeff in s:
+            coeffs[0, 0, tok] += sign * coeff
+        return Fibers.stack(sign * expand_group_matrix(backend.group_table, coeffs)[None])
 
-    return Representation(pi, obj, image_fn, tuple(generating_set(pi)),
+    return Representation(pi, obj, sum_blocks, tuple(generating_set(pi)),
                           {"regular": True})
 
 
@@ -437,10 +438,10 @@ def circle_regular_representation(grid: int) -> Representation:
     obj = family_object(backend, 1)
     phases = np.exp(1j * samples[:, 0])
 
-    def image_fn(tok: int) -> Morphism:
-        return Morphism(obj, obj, Fibers.stack((phases ** tok).reshape(-1, 1, 1)))
+    def sum_blocks(s: GroupRingSum) -> Fibers:
+        return Fibers.stack(_linear_sum(s, phases.__pow__).reshape(-1, 1, 1))
 
-    return Representation(infinite_cyclic_pi(), obj, image_fn, (1,),
+    return Representation(infinite_cyclic_pi(), obj, sum_blocks, (1,),
                           {"regular_s1": {"grid": grid}})
 
 
@@ -470,9 +471,9 @@ def cochain_complex(k: CellComplex, rep: Representation) -> ChainComplexC:
             entries = {fid: s for fid, s in _merged_boundary(k, big)}
             for ci, small in enumerate(cols):
                 s = entries.get(small)
-                img = rep.sum_image(s) if s else None
-                if img is None:
+                if not s:
                     continue
+                img = rep.sum_blocks(s)
                 for (idx, m), st in zip(groups, stacks):
                     st[:, ri * m : (ri + 1) * m, ci * m : (ci + 1) * m] = img.take(idx)
         blocks = Fibers([(idx, st) for (idx, _), st in zip(groups, stacks)], backend.n_fibers)

@@ -98,8 +98,13 @@ class DetLineElement:
             raise ShapeMismatchError("element is not a scalar multiple of 1")
         return s.log_coeff
 
-    def scalar_value(self) -> float:
-        return math.exp(self.scalar_log())
+    def scalar_value(self) -> float | None:
+        """exp of :meth:`scalar_log`; None where it overflows or underflows
+        to 0.0."""
+        try:
+            return math.exp(self.scalar_log()) or None
+        except OverflowError:
+            return None
 
 
 def standard_element(obj: HObject, label: str) -> DetLineElement:

@@ -19,11 +19,11 @@ from .backends import (
     Morphism,
     compose,
     cyclic_group_table,
-    expand_group_matrix,
     family_backend,
     family_object,
     group_backend,
     group_object,
+    group_ring_morphism,
     matrix_backend,
     matrix_object,
     scalar_morphism,
@@ -76,10 +76,9 @@ def random_invertible_morphism(rng, backend: CategoryBackend, n: int) -> Morphis
             # bias toward the identity component to keep it invertible
             for i in range(n):
                 coeffs[i, i, 0] += 2.0
-            block = expand_group_matrix(np.asarray(backend.group_table), coeffs)
-            s = np.linalg.svd(block, compute_uv=False)
-            if s[-1] > 0.2:
-                return Morphism(obj, obj, (block,))
+            m = group_ring_morphism(obj, obj, coeffs)
+            if np.linalg.svd(m.blocks[0], compute_uv=False)[-1] > 0.2:
+                return m
     obj = family_object(backend, n)
     return Morphism(
         obj, obj, tuple(random_invertible(rng, n) for _ in range(backend.n_fibers))

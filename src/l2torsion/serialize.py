@@ -20,9 +20,9 @@ from .backends import (
     HObject,
     Morphism,
     _integers,
-    expand_group_matrix,
     family_backend,
     group_backend,
+    group_ring_morphism,
     matrix_backend,
 )
 from .cellular import (
@@ -142,9 +142,7 @@ def morphism_to_json(m: Morphism) -> dict:
         out["data"] = [
             [[_c2j(z) for z in entry] for entry in row] for row in coeffs
         ]
-        n = b.group_order
-        out["source_dims"] = [m.source.dims[0] // n]
-        out["target_dims"] = [m.target.dims[0] // n]
+        out["target_dims"], out["source_dims"] = [coeffs.shape[0]], [coeffs.shape[1]]
     else:
         out["data"] = _matrix_to_json(m.blocks[0])
     for side, obj in (("source", m.source), ("target", m.target)):
@@ -187,7 +185,7 @@ def morphism_from_json(d: dict) -> Morphism:
     if backend.kind is BackendKind.FINITE_GROUP:
         n = backend.group_order
         coeffs = _shaped(_array_from_json(data, 3), (tgt.dims[0] // n, src.dims[0] // n, n))
-        return Morphism(src, tgt, (expand_group_matrix(backend.group_table, coeffs),))
+        return group_ring_morphism(src, tgt, coeffs)
     if backend.kind is BackendKind.MATRIX:
         data = [data]
     if not isinstance(data, list) or len(data) != backend.n_fibers:

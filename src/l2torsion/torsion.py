@@ -583,10 +583,7 @@ def _torsion(c, split, sigma_log, epsilon, tol, out_prefix) -> TorsionReport:
         and math.isfinite(combined.log_coeff)
         and all(b <= 1e-8 for b in betti)
     ):
-        try:  # None where exp overflows, or underflows to 0.0
-            scalar_value = math.exp(combined.log_coeff) or None
-        except OverflowError:
-            pass
+        scalar_value = combined.scalar_value()
     return TorsionReport(
         epsilon=epsilon,
         rho_small=rho_small,

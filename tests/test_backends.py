@@ -99,7 +99,53 @@ class TestAdjoint:
             assert np.allclose(a, b)
 
 
+def _loop_expand(table, ring_matrix):
+    """Reference: the per-entry, per-element expansion loop."""
+    ring_matrix = np.asarray(ring_matrix, dtype=complex)
+    kt, ks, n = ring_matrix.shape
+    out = np.zeros((kt * n, ks * n), dtype=complex)
+    cols = np.arange(n)
+    for i in range(kt):
+        for j in range(ks):
+            for g in range(n):
+                c = ring_matrix[i, j, g]
+                if c != 0:
+                    out[i * n + table[g], j * n + cols] += c
+    return out
+
+
+def _loop_extract(table, block):
+    """Reference: the identity column of each block, one at a time."""
+    n = table.shape[0]
+    kt, ks = block.shape[0] // n, block.shape[1] // n
+    out = np.zeros((kt, ks, n), dtype=complex)
+    for i in range(kt):
+        for j in range(ks):
+            out[i, j] = block[i * n : (i + 1) * n, j * n]
+    return out
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64))
+
+
 class TestGroupRingExpansion:
+    @pytest.mark.parametrize("table", [cyclic_group_table(6), dihedral_group_table(4),
+                                       cyclic_group_table(1)], ids=["Z/6", "D8", "Z/1"])
+    def test_expansion_matches_the_loop_bit_for_bit(self, table, rng):
+        n = table.shape[0]
+        for kt, ks in [(1, 1), (2, 3), (0, 2), (2, 0)]:
+            coeffs = rng.integers(-2, 3, size=(kt, ks, n)) + 1j * rng.integers(-1, 2, size=(kt, ks, n))
+            coeffs = coeffs * rng.choice([1.0, -1.0], size=coeffs.shape)  # zeros of both signs
+            coeffs.flat[::3] = complex(-0.0, -0.0)
+            coeffs.flat[1::5] = complex(0.0, -0.0)
+            block = expand_group_matrix(table, coeffs)
+            assert _same_bits(block, _loop_expand(table, coeffs))
+            noisy = block + rng.normal(size=block.shape)
+            noisy[: 2 * n : 2] = -0.0
+            assert _same_bits(extract_group_coeffs(table, noisy), _loop_extract(table, noisy))
+
     def test_expand_then_extract_roundtrip(self, rng):
         table = cyclic_group_table(5)
         coeffs = rng.normal(size=(2, 3, 5)) + 1j * rng.normal(size=(2, 3, 5))

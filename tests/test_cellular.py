@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from l2torsion import cellular
-from l2torsion.backends import cyclic_group_table
+from l2torsion.backends import (
+    Fibers,
+    Morphism,
+    align,
+    circle_samples,
+    cyclic_group_table,
+    dihedral_group_table,
+    group_ring_morphism,
+)
 from l2torsion.cellular import (
     circle_complex,
     circle_complex_two_cells,
@@ -29,6 +37,7 @@ from l2torsion.errors import (
     InputValidationError,
     NotAChainComplexError,
     NotUnimodularError,
+    ShapeMismatchError,
     UnsupportedCellError,
 )
 from l2torsion.extcoh import determinant_class_test
@@ -246,3 +255,124 @@ class TestDivergentCellularStyle:
         c = cochain_complex(circle_complex(), rep)
         verdicts = determinant_class_test(c)
         assert all(v.convergent for v in verdicts)
+
+
+# ---------------------------------------------------------------------------
+# the image of a group-ring sum, against the per-element reference
+
+
+def per_element_sum(image, s):
+    """Reference: the image Morphism of every token, scaled by its
+    coefficient and added group by group, left to right."""
+    total = None
+    for tok, coeff in s:
+        term = image(tok).blocks.map(lambda b: coeff * b)
+        total = term if total is None else Fibers(
+            [(idx, a + b) for idx, (a, b) in align(total, term)], total.n)
+    return total
+
+
+def _rotation(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+def _dihedral_images(n):
+    """2 x 2 matrices of the dihedral group of order 2n, element s*n + r
+    going to R^r F^s."""
+    rot, flip = _rotation(2 * math.pi / n), np.diag([1.0, -1.0])
+    return [np.linalg.matrix_power(rot, k % n) @ np.linalg.matrix_power(flip, k // n)
+            for k in range(2 * n)]
+
+
+def _matrix_case(pi, images):
+    """A matrix representation and the per-token images it used to build."""
+    rep = matrix_representation(pi, images)
+    obj = rep.module
+    if pi.finite:
+        mats = [np.asarray(m, complex) for m in images]
+        return rep, lambda tok: Morphism(obj, obj, (mats[tok],))
+    t = np.asarray(images[1], complex)
+    t_inv = np.linalg.inv(t)
+    return rep, lambda tok: Morphism(
+        obj, obj, (np.linalg.matrix_power(t if tok >= 0 else t_inv, abs(tok)),))
+
+
+def _regular_case(pi):
+    rep = regular_representation(pi)
+
+    def image(tok):
+        coeffs = np.zeros((1, 1, pi.order), complex)
+        coeffs[0, 0, tok] = 1.0
+        return group_ring_morphism(rep.module, rep.module, coeffs)
+
+    return rep, image
+
+
+def _circle_case(grid):
+    rep = circle_regular_representation(grid)
+    phases = np.exp(1j * circle_samples(grid)[:, 0])
+    return rep, lambda tok: Morphism(
+        rep.module, rep.module, Fibers.stack((phases ** tok).reshape(-1, 1, 1)))
+
+
+SUM_CASES = {
+    "D8 matrices": lambda: _matrix_case(finite_pi(dihedral_group_table(4)),
+                                        _dihedral_images(4)),
+    "Z/5 character": lambda: _matrix_case(finite_pi(cyclic_group_table(5)), [
+        np.array([[np.exp(2j * np.pi / 5) ** j]]) for j in range(5)]),
+    "Z rotation": lambda: _matrix_case(infinite_cyclic_pi(), {1: _rotation(0.7)}),
+    "Z/6 regular": lambda: _regular_case(finite_pi(cyclic_group_table(6))),
+    "D8 regular": lambda: _regular_case(finite_pi(dihedral_group_table(4))),
+    "(Z/3)^2 regular": lambda: _regular_case(torus_quotient_complex(3).pi),
+    "circle 64": lambda: _circle_case(64),
+}
+
+
+def _random_sums(pi, rng, count=40):
+    """Integer group-ring sums of 1 to 6 distinct tokens (powers -6..6 of t
+    for Z), plus the single terms 1, -1 and -2 at every token."""
+    tokens = np.arange(pi.order) if pi.finite else np.arange(-6, 7)
+    sums = [((int(t), c),) for t in tokens for c in (1, -1, -2)]
+    for _ in range(count):
+        toks = rng.choice(tokens, size=rng.integers(1, min(6, len(tokens)) + 1), replace=False)
+        coeffs = rng.choice([-3, -2, -1, 1, 2, 3], size=len(toks))
+        sums.append(tuple((int(t), int(c)) for t, c in zip(toks, coeffs)))
+    return sums
+
+
+def _signbits(a):
+    return np.signbit(a.real), np.signbit(a.imag)
+
+
+class TestGroupRingSums:
+    @pytest.mark.parametrize("case", SUM_CASES)
+    def test_sum_blocks_equal_the_per_element_sum(self, case):
+        """Bit for bit, signs of zeros included: the zeros of a sum of
+        negative terms are -0.0, and their sign moves LAPACK's results."""
+        rep, image = SUM_CASES[case]()
+        for s in _random_sums(rep.pi, np.random.default_rng(len(case))):
+            got, want = rep.sum_blocks(s), per_element_sum(image, s)
+            assert len(got.groups) == len(want.groups)
+            for (i, a), (j, b) in zip(got.groups, want.groups):
+                assert np.array_equal(i, j) and np.array_equal(a, b)
+                for x, y in zip(_signbits(a), _signbits(b)):
+                    assert np.array_equal(x, y)
+
+    def test_a_boundary_entry_is_one_expansion(self, monkeypatch):
+        """lens(p, 1) has three boundary entries; the norm element
+        1 + t + ... + t^(p-1) is expanded once, not once per element."""
+        k = lens_complex(12, 1)
+        rep = regular_representation(k.pi)
+        real, expansions = cellular.expand_group_matrix, []
+        monkeypatch.setattr(cellular, "expand_group_matrix",
+                            lambda *a: expansions.append(1) or real(*a))
+        monkeypatch.setattr(cellular.Representation, "image",
+                            lambda self, tok: pytest.fail("a per-element image"))
+        cochain_complex(k, rep)
+        assert len(expansions) == 3
+
+    def test_images_of_the_wrong_shape_are_rejected(self):
+        pi = finite_pi(cyclic_group_table(2))
+        with pytest.raises(ShapeMismatchError):
+            matrix_representation(pi, [np.eye(2), np.eye(1)])

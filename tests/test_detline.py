@@ -49,6 +49,11 @@ class TestElements:
     def test_unit_element_is_scalar_one(self):
         assert unit_element().scalar_value() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("log_coeff, value", [(800.0, None), (-800.0, None), (0.0, 1.0)])
+    def test_scalar_value_outside_float_range_is_none(self, log_coeff, value):
+        """exp(800) overflows and exp(-800) underflows to 0.0, a zero torsion."""
+        assert DetLineElement((), log_coeff).scalar_value() == value
+
     def test_scaled_accumulates(self):
         obj = _mat(2)
         x = standard_element(obj, "a").scaled(0.5).scaled(-0.2)

@@ -169,8 +169,9 @@ def test_regular_representation_certifies_generators_only(pi, monkeypatch):
     rep = regular_representation(pi)
     assert rep.generators == tuple(generating_set(pi))
     made = []
-    real = rep.image_fn
-    monkeypatch.setattr(rep, "image_fn", lambda tok: made.append(tok) or real(tok))
+    real = rep.sum_blocks
+    monkeypatch.setattr(rep, "sum_blocks",
+                        lambda s: made.extend(tok for tok, _ in s) or real(s))
     assert rep.unimodular_defect() < 1e-8
     assert made == list(generating_set(pi))
     assert len(made) < pi.order

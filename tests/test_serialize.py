@@ -19,6 +19,8 @@ from l2torsion.backends import (
     BackendKind,
     HObject,
     Morphism,
+    adjoint,
+    compose,
     cyclic_group_table,
     dihedral_group_table,
     expand_group_matrix,
@@ -26,11 +28,15 @@ from l2torsion.backends import (
     family_morphism,
     family_object,
     group_backend,
+    group_object,
+    group_ring_morphism,
+    kernel_and_image_closure,
     matrix_backend,
     matrix_morphism,
     matrix_object,
     uniform_interval_samples,
 )
+from l2torsion.errors import ShapeMismatchError
 from l2torsion.serialize import dumps, morphism_from_json, morphism_to_json
 from l2torsion.spectral import log_fk_det
 
@@ -141,6 +147,38 @@ def test_standard_objects_write_the_same_json():
         "target_dims": [2],
         "data": [[[3.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]],
     }
+
+
+def test_a_block_that_is_no_group_ring_matrix_is_not_written():
+    """The kernel inclusion of 1 - t on Z/4 has source dimension 1, which
+    was written as rank 0 and read back as a 4 x 0 map; a random block that
+    does not commute with the group action was written as its identity
+    column and read back off by 3.6."""
+    backend = group_backend(cyclic_group_table(4))
+    obj = group_object(backend, 1)
+    inclusion = kernel_and_image_closure(
+        group_ring_morphism(obj, obj, [[[1.0, -1.0, 0.0, 0.0]]]))[0].include()
+    assert inclusion.source.dims == (1,)
+    off_action = Morphism(obj, obj, (np.random.default_rng(0).normal(size=(4, 4)),))
+    for m in (inclusion, off_action):
+        with pytest.raises(ShapeMismatchError):
+            morphism_to_json(m)
+
+
+@pytest.mark.parametrize("table", [cyclic_group_table(4), dihedral_group_table(3)],
+                         ids=["Z/4", "D6"])
+def test_group_ring_composites_and_adjoints_round_trip(table):
+    backend = group_backend(table)
+    order = backend.group_order
+    rng = np.random.default_rng(order)
+    a, b, c = (group_object(backend, k) for k in (1, 2, 3))
+    f = group_ring_morphism(b, c, _gaussian(rng, 3, 2, order))
+    g = group_ring_morphism(a, b, _gaussian(rng, 2, 1, order))
+    for m in (f, g, compose(f, g), adjoint(f), adjoint(compose(f, g))):
+        back = _round_trip(m)
+        assert back.source.dims == m.source.dims and back.target.dims == m.target.dims
+        scale = max(1.0, np.linalg.norm(m.blocks[0]))
+        assert np.abs(back.blocks[0] - m.blocks[0]).max() <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
