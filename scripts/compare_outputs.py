@@ -19,7 +19,14 @@ records, for the checkout it lives in:
 - the golden complexes of ``tests/test_golden.py``: the serialized torsion
   report of each case, and the extended cohomology of each complex;
 - the payloads of the ``checks`` command: the randomized suites, fast at
-  seed 3 and in full at seed 7.
+  seed 3 and in full at seed 7;
+- complexes with non-standard products, for seeds 0-9: the torsion
+  reports of the ragged Family complex of ``tests/test_stacked_fibers.py``
+  at its default epsilon times 1, 3 and 1/3, and of
+  ``_ragged_complex_with_cohomology`` of ``tests/test_sequence_factors.py``
+  on 7 fibers; and for the exact triples of length 3 given products there
+  (L, N or both acyclic), the reports of L, M and N and the deviation of
+  ``sequence_torsion_check``.
 
 The workloads are read from ``benchmark/workloads.py`` as they stand.
 Usage, from anywhere:
@@ -46,6 +53,7 @@ FAMILY_SEEDS = (1, 3)
 GROUP_SEEDS = (1, 3)
 SUITE_SEED, SUITE_ROUNDS = 2, 60
 CHECKS_RUNS = ((3, True), (7, False))  # (seed, fast) of run_all_suites
+PRODUCT_SEEDS = range(10)
 
 
 def _import_checkout():
@@ -120,6 +128,38 @@ def _checks() -> dict:
             for seed, fast in CHECKS_RUNS}
 
 
+def _with_products() -> dict:
+    import numpy as np
+    import test_sequence_factors as seq
+    import test_stacked_fibers as stacked
+    from l2torsion.backends import uniform_interval_samples
+    from l2torsion.harness import random_exact_triple
+    from l2torsion.serialize import dumps, report_to_json
+    from l2torsion.torsion import default_epsilon, sequence_torsion_check, torsion
+
+    def report(c, eps=None):
+        return dumps(report_to_json(torsion(c, epsilon=eps)))
+
+    out = {}
+    for seed in PRODUCT_SEEDS:
+        rng = np.random.default_rng(seed)
+        dims, diffs = stacked._ragged_fibers(rng, 9)
+        c = stacked._family_complex(uniform_interval_samples(9), dims, diffs,
+                                    stacked._products(rng, dims))
+        for factor in (1.0, 3.0, 1.0 / 3.0):
+            out[f"products/ragged/{seed}@{factor:.3g}"] = report(c, default_epsilon(c) * factor)
+        c = seq._ragged_complex_with_cohomology(np.random.default_rng(seed), 7, True)
+        out[f"products/cohomology/{seed}"] = report(c)
+        for acyclic in ("L", "N", "both"):
+            rng = np.random.default_rng(seed)
+            triple = seq._with_products(rng, random_exact_triple(rng, length=3, acyclic=acyclic))
+            for name, c in zip("LMN", triple):
+                out[f"products/triple/{seed}/{acyclic}/{name}"] = report(c)
+            check = sequence_torsion_check(*triple)
+            out[f"products/triple/{seed}/{acyclic}/deviation"] = repr(check.deviation)
+    return out
+
+
 def record() -> dict:
     workloads = _import_checkout()
     out = {}
@@ -138,6 +178,7 @@ def record() -> dict:
     out.update(_cochains())
     out.update(_golden())
     out.update(_checks())
+    out.update(_with_products())
     return out
 
 

@@ -12,8 +12,10 @@ L2-torsion.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
+from numbers import Number
 
 import numpy as np
 
@@ -156,9 +158,14 @@ class CellComplex:
             for fid, ring_sum in faces:
                 if fid not in self.cells:
                     raise InputValidationError(f"unknown face {fid!r} of {cid!r}")
-                if not all(self.pi.is_element(t) for t, _ in ring_sum):
-                    raise InputValidationError(
-                        f"a token in the boundary of {cid!r} is no group element")
+                for tok, c in ring_sum:
+                    if not self.pi.is_element(tok):
+                        raise InputValidationError(
+                            f"a token in the boundary of {cid!r} is no group element")
+                    if not (isinstance(c, Number) and cmath.isfinite(c)):
+                        raise InputValidationError(
+                            f"a coefficient in the boundary of {cid!r} is {c!r}, "
+                            "not a finite number")
                 if self.cells[fid] != self.cells[cid] - 1:
                     raise InputValidationError(
                         f"face {fid!r} of {cid!r} has the wrong dimension"
@@ -392,9 +399,13 @@ def matrix_representation(pi: PiSpec, images: dict | list,
         return Representation(pi, obj, sum_blocks, tuple(generating_set(pi)),
                               descriptor or {})
     t = np.asarray(images[1] if isinstance(images, dict) else images, complex)
-    n = t.shape[0]
-    obj = matrix_object(backend, n)
-    t_inv = np.linalg.inv(t)
+    if t.ndim != 2 or t.shape[0] != t.shape[1]:
+        raise ShapeMismatchError("the image of t must be a square matrix")
+    obj = matrix_object(backend, t.shape[0])
+    try:
+        t_inv = np.linalg.inv(t)
+    except np.linalg.LinAlgError:
+        raise InputValidationError("the image of t is not invertible") from None
 
     def sum_blocks(s: GroupRingSum) -> Fibers:
         return Fibers.stack(_linear_sum(s, lambda tok: np.linalg.matrix_power(

@@ -17,7 +17,6 @@ reduce to bookkeeping on the log-coefficient:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,7 @@ from .errors import (
     NotExactError,
     ShapeMismatchError,
 )
-from .spectral import fk_det_extended
+from .spectral import finite_exp, fk_det_extended
 
 
 @dataclass(eq=False)
@@ -101,10 +100,7 @@ class DetLineElement:
     def scalar_value(self) -> float | None:
         """exp of :meth:`scalar_log`; None where it overflows or underflows
         to 0.0."""
-        try:
-            return math.exp(self.scalar_log()) or None
-        except OverflowError:
-            return None
+        return finite_exp(self.scalar_log())
 
 
 def standard_element(obj: HObject, label: str) -> DetLineElement:

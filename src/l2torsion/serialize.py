@@ -276,7 +276,8 @@ def cell_complex_to_json(k: CellComplex) -> dict:
 
 def cell_complex_from_json(d: dict) -> CellComplex:
     """Read :func:`cell_complex_to_json`'s format; dimensions, tokens and
-    "chi" must be integers, as :func:`l2torsion.backends._integers` reads them."""
+    "chi" must be integers, as :func:`l2torsion.backends._integers` reads them.
+    Coefficients are passed on as read, for :class:`CellComplex` to check."""
     pi_d = d.get("pi", {})
     if "finite" in pi_d:
         pi = finite_pi(pi_d["finite"])
@@ -288,8 +289,7 @@ def cell_complex_from_json(d: dict) -> CellComplex:
         cells = {cid: _integers(dim, "cell dimensions").item() for dim, cid in d["cells"]}
         boundaries = {
             cid: tuple(
-                (fid, tuple((_integers(tok, "tokens").item(), c if isinstance(c, int)
-                             else float(c)) for tok, c in s))
+                (fid, tuple((_integers(tok, "tokens").item(), c) for tok, c in s))
                 for fid, s in faces
             )
             for cid, faces in d.get("boundaries", {}).items()

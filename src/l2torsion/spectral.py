@@ -166,8 +166,18 @@ def log_fk_det(f: Morphism) -> float:
     return fiber_svds(f, vectors=False).log_det(f.backend.fiber_weights)
 
 
-def fk_det(f: Morphism) -> float:
-    return math.exp(log_fk_det(f))
+def finite_exp(log: float) -> float | None:
+    """exp(log), or None where it overflows or underflows to 0.0."""
+    try:
+        return math.exp(log) or None
+    except OverflowError:
+        return None
+
+
+def fk_det(f: Morphism) -> float | None:
+    """The Fuglede-Kadison determinant of f, or None where it leaves the
+    float range (:func:`finite_exp` of :func:`log_fk_det`)."""
+    return finite_exp(log_fk_det(f))
 
 
 # ---------------------------------------------------------------------------

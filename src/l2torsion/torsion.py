@@ -29,7 +29,6 @@ from .backends import (
     Fibers,
     HObject,
     Morphism,
-    SubObject,
     align,
     block_matrix,
     commutes,
@@ -89,10 +88,10 @@ class HodgeSplit:
     singular values kept by the rank cut, W^i is spanned by the leading r
     rows of Vh, ker d_i by the trailing rows, and cl(im d_i) by the leading
     r columns of U. In these frames the restricted differential
-    W^i -> cl(im d_i) is diag(s[:r]): column j of ``coexact[i]`` on fiber f
-    goes to the j-th kept value of d_i on fiber f times column j of
-    ``boundaries[i + 1]``. The nonzero Laplacian eigenvalues of the complex
-    are the squares of the kept values. The harmonic part is what is left:
+    W^i -> cl(im d_i) is diag(s[:r]): column j of W^i on fiber f goes to
+    the j-th kept value of d_i on fiber f times column j of B^{i+1}. The
+    nonzero Laplacian eigenvalues of the complex are the squares of the
+    kept values. The harmonic part is what is left:
     Harm^i = (B^i (+) W^i)^perp with B^i = cl(im d_{i-1}).
 
     The split keeps each differential's :class:`FiberSVD` (``svds``) and
@@ -104,8 +103,9 @@ class HodgeSplit:
     read and kept on this split, which belongs to one call: in
     standardized coordinates (:attr:`std_frames`, and :attr:`std_harmonic`
     by one QR per shape group whose width lies strictly between 0 and the
-    dimension), and as subobjects of the C^i (``harmonic``,
-    ``boundaries``, ``coexact``).
+    dimension), which is all the epsilon split reads; and the harmonic
+    part also as subobjects of the C^i (``harmonic``), for the long exact
+    sequence, whose maps live in the complexes' own coordinates.
 
     ``singular[i]`` keeps the kept values of d_i flat, as
     :class:`FiberValues` (values plus the fiber of each, in column order
@@ -165,16 +165,8 @@ class HodgeSplit:
                 for b, w in self.std_frames]
 
     @cached_property
-    def harmonic(self) -> list:
+    def harmonic(self) -> list:  # harmonic[i] = Harm^i as a subobject of C^i
         return [subobject_from_std_frames(o, h) for o, h in zip(self.objects, self.std_harmonic)]
-
-    @cached_property
-    def boundaries(self) -> list:  # boundaries[i] = cl(im d_{i-1}) in C^i
-        return [subobject_from_std_frames(o, b) for o, (b, _) in zip(self.objects, self.std_frames)]
-
-    @cached_property
-    def coexact(self) -> list:  # coexact[i] = W^i = (ker d_i)^perp
-        return [subobject_from_std_frames(o, w) for o, (_, w) in zip(self.objects, self.std_frames)]
 
     def detclass(self) -> list:
         """Determinant-class verdict of each degree: degree i certifies the
@@ -380,7 +372,7 @@ def default_epsilon(c: ChainComplexC) -> float | None:
 def _split_parts(c: ChainComplexC, split: HodgeSplit, low: list, small: bool = True):
     """The large part of the Hodge split for the masks ``low[i]`` over the
     singular values of d_i (True for the part at or below epsilon), and the
-    small part when ``small``, as raw stacks.
+    small part when ``small``, as raw stacks in standardized coordinates.
 
     The harmonic part goes to the small side; a co-exact column of C^i and
     its image column in C^{i+1} go to the side their singular value picks.
@@ -388,16 +380,16 @@ def _split_parts(c: ChainComplexC, split: HodgeSplit, low: list, small: bool = T
     in each fiber it selects trailing columns: the large side is then a
     leading block of columns of every frame.
 
-    With ``small`` the stacks cover every fiber and are taken in the
-    coordinates of c, from the frames of the split's subobjects. Without
-    it they cover only the fibers ``fibers`` that hold a column of the
-    large part, and are taken in standardized coordinates, from the frames
-    ``svd.image()`` and ``svd.coimage()`` and the standardized blocks: no
-    harmonic frame, no subobject and no stack of an empty large part is
-    built. Those fibers are grouped once, by the widths of every Hodge
-    frame and by every cut. Within a group every frame of both parts is a
-    plain slice of the Hodge frames, and every compressed differential one
-    batched product.
+    Every frame is a slice of the split's standardized frames
+    (:attr:`HodgeSplit.std_frames`, and :attr:`HodgeSplit.std_harmonic`
+    for the small part), and every differential is compressed from its
+    standardized blocks, with no product term. With ``small`` the stacks
+    cover every fiber; without it they cover only the fibers ``fibers``
+    that hold a column of the large part, and no harmonic frame and no
+    stack of an empty large part is built. Those fibers are grouped once,
+    by the widths of every Hodge frame and by every cut. Within a group
+    every frame of both parts is a plain slice of the Hodge frames, and
+    every compressed differential one batched product.
 
     Returns ``fibers``, the groups (arrays of positions in ``fibers``), the
     parts, the large one first, and the dimensions of the large part in
@@ -424,32 +416,27 @@ def _split_parts(c: ChainComplexC, split: HodgeSplit, low: list, small: bool = T
             bound = int(key.max()) + 1
         key, bound = key * radix + width, bound * radix
     if small:
-        fibers = fiber_range(n)
-        hodge = [(h.frames, b.frames, w.frames)
-                 for h, b, w in zip(split.harmonic, split.boundaries, split.coexact)]
-        maps = [(d.blocks, obj.gram) for d, obj in zip(c.diffs, c.objects[1:])]
+        fibers, harmonic = fiber_range(n), split.std_harmonic
     else:
-        fibers = np.flatnonzero(np.any(widths, axis=0))
+        fibers, harmonic = np.flatnonzero(np.any(widths, axis=0)), [None] * len(c.objects)
         key, widths = key[fibers], [w[fibers] for w in widths]
-        hodge = [(None, b, w) for b, w in split.std_frames]
-        maps = [(d.standardized_blocks(), None) for d in c.diffs]
+    maps = [d.standardized_blocks() for d in c.diffs]
     groups = [idx for idx, _ in partition(key)]
     # per part (large, then small) and degree, one stack per group of the
     # frames and of the compressed differentials
-    frames, blocks = ([[[] for _ in xs] for _ in range(1 + small)] for xs in (hodge, maps))
+    frames, blocks = ([[[] for _ in xs] for _ in range(1 + small)] for xs in (harmonic, maps))
     for idx in groups:
-        at = idx if small else fibers[idx]
-        for i, ((h, b, w), lb, lw) in enumerate(zip(hodge, large, large[1:])):
+        at = fibers[idx]
+        for i, (h, (b, w), lb, lw) in enumerate(zip(harmonic, split.std_frames, large, large[1:])):
             bv, wv, kb, kw = b.take(at), w.take(at), lb[at[0]], lw[at[0]]
             frames[0][i].append(np.concatenate([bv[:, :, :kb], wv[:, :, :kw]], axis=2))
             if small:
                 frames[1][i].append(
                     np.concatenate([h.take(at), bv[:, :, kb:], wv[:, :, kw:]], axis=2))
-        for i, (d, p) in enumerate(maps):
+        for i, d in enumerate(maps):
             db = d.take(at)
             for fr, bl in zip(frames, blocks):
-                v = hermitian(fr[i + 1][-1])
-                bl[i].append((v if p is None else v @ p.take(at)) @ (db @ fr[i][-1]))
+                bl[i].append(hermitian(fr[i + 1][-1]) @ (db @ fr[i][-1]))
     return fibers, groups, list(zip(frames, blocks)), widths
 
 
@@ -466,16 +453,18 @@ def split_complex(c: ChainComplexC, eps: float):
 
     Returns (small_c, large_c, small_subs, large_subs): each part as a
     :class:`ChainComplexC`, whose constructor runs its d^2 = 0 check, and
-    its frames as subobjects of the C^i. The complexes keep the norm of c
-    as their reference norm (``check_norm``), since their differentials
-    carry the rounding of c's.
+    its frames as subobjects of the C^i, converted here from the
+    standardized frames of :func:`_split_parts`. The differentials are the
+    standardized compressions of :func:`_split_parts`. The complexes keep
+    the norm of c as their reference norm (``check_norm``), since their
+    differentials carry the rounding of c's.
     """
     split = hodge_split(c)
     _, groups, parts, _ = _split_parts(c, split, _low(split, eps))
     n, norm = c.backend.n_fibers, max((d.norm() for d in c.diffs), default=0.0)
     out = []
     for frames, diffs in parts:
-        subs = [SubObject(obj, Fibers(list(zip(groups, g)), n))
+        subs = [subobject_from_std_frames(obj, Fibers(list(zip(groups, g)), n))
                 for obj, g in zip(c.objects, frames)]
         maps = tuple(Morphism(s.space, t.space, Fibers(list(zip(groups, g)), n))
                      for s, t, g in zip(subs, subs[1:], diffs))

@@ -195,6 +195,21 @@ class TestScalarOutsideFloatRange:
         assert "outside float range" in caplog.text
 
 
+@pytest.mark.parametrize("t, message", [
+    ([[[1.0, 0.0], [2.0, 0.0]]], "must be a square matrix"),
+    ([[[0.0, 0.0]]], "the image of t is not invertible"),
+])
+def test_infinite_cyclic_rep_needs_an_invertible_square_t(inputs, tmp_path, caplog, t, message):
+    """A 1 x 2 or a singular image of t is a typed input error, exit 2, and
+    not a linear algebra traceback."""
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"pi": {"infinite_cyclic": True}, "images": {"t": t}}))
+    code = main(["torsion", "--complex", str(inputs / "circle.json"), "--rep", str(path)])
+    assert code == EXIT_INVALID
+    assert message in caplog.text
+    assert "Traceback" not in caplog.text
+
+
 class TestDetclassCommand:
     def test_circle_regular(self, inputs, tmp_path):
         out = tmp_path / "run"

@@ -107,11 +107,11 @@ def test_family_grid_complexes_build_no_frame(make, query, built):
 @pytest.mark.parametrize("seed", range(3))
 def test_widths_read_off_the_ranks_are_those_of_the_frames(seed):
     split = hodge_split(_ragged_one_differential(np.random.default_rng(seed)))
-    for (h, b, w), space, subs in zip(split.widths, split.harmonic_spaces, zip(
-            split.harmonic, split.boundaries, split.coexact)):
+    for (h, b, w), space, harmonic, std in zip(split.widths, split.harmonic_spaces,
+                                               split.std_harmonic, split.std_frames):
         assert np.array_equal(space.dim_array, h)
-        for sub, width in zip(subs, (h, b, w)):
-            assert np.array_equal(sub.space.dim_array, width)
+        for frames, width in zip((harmonic, *std), (h, b, w)):
+            assert np.array_equal(frames.sizes(1), width)
 
 
 @pytest.fixture

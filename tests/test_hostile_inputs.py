@@ -44,7 +44,7 @@ from l2torsion.cellular import (
     subdivision_invariance_check,
     torus_quotient_complex,
 )
-from l2torsion.cli import EXIT_INVALID, main
+from l2torsion.cli import EXAMPLES, EXIT_INVALID, main
 from l2torsion.errors import (
     BackendMismatchError,
     InputValidationError,
@@ -465,6 +465,30 @@ def test_malformed_cell_complex_json_rejected(edit):
 def test_bad_cell_dimensions_and_tokens_rejected(cells, boundaries, pi):
     with pytest.raises(InputValidationError):
         CellComplex(cells, boundaries, pi)
+
+
+_BAD_COEFFICIENTS = ["1", "abc", math.nan, math.inf, -math.inf]  # "1" was read as 1.0
+
+
+@pytest.mark.parametrize("coeff", _BAD_COEFFICIENTS)
+def test_bad_boundary_coefficients_rejected(coeff):
+    with pytest.raises(InputValidationError, match="boundary of 'e'"):
+        CellComplex({"v": 0, "e": 1}, {"e": (("v", ((1, coeff), (0, -1))),)},
+                    infinite_cyclic_pi())
+
+
+@pytest.mark.parametrize("coeff", _BAD_COEFFICIENTS)
+def test_bad_boundary_coefficients_rejected_from_json(coeff):
+    payload = cell_complex_to_json(circle_complex())
+    payload["boundaries"]["e"][0][1][0][1] = coeff
+    with pytest.raises(InputValidationError, match="boundary of 'e'"):
+        cell_complex_from_json(json.loads(json.dumps(payload)))
+
+
+@pytest.mark.parametrize("name", [n for n in EXAMPLES if not n.startswith("rep_")])
+def test_bundled_complexes_read_back_unchanged(name):
+    payload = json.loads(json.dumps(EXAMPLES[name]()))
+    assert cell_complex_to_json(cell_complex_from_json(payload)) == payload
 
 
 @pytest.mark.parametrize("edit", [

@@ -147,10 +147,9 @@ def _two_term(values):
     lambda: _ragged_family(np.random.default_rng(3), 5, True),
 ], ids=["circle", "two_term", "acyclic_2", "acyclic_4", "cohomology_3", "ragged_products"])
 def test_torsion_builds_no_subcomplex(make, monkeypatch):
-    """torsion() builds no ChainComplexC. With two or more differentials
-    the d^2 = 0 check runs on both parts, which read the three subobjects
-    per degree of the Hodge split; with one it has nothing to compose, and
-    no SubObject is built."""
+    """torsion() builds no ChainComplexC and no SubObject: both parts are
+    taken in standardized coordinates. With two or more differentials the
+    d^2 = 0 check runs on both parts; with one it has nothing to compose."""
     c = make()
     calls = Counter()
     _counted(monkeypatch, ChainComplexC, "__post_init__", calls, "ChainComplexC")
@@ -159,7 +158,7 @@ def test_torsion_builds_no_subcomplex(make, monkeypatch):
     report = torsion(c)
     assert "large_part_formulas" in report.checks
     assert calls["ChainComplexC"] == 0
-    assert calls["SubObject"] == (3 * c.length if len(c.diffs) > 1 else 0)
+    assert calls["SubObject"] == 0
     assert calls["check_d_squared"] == (2 if len(c.diffs) > 1 else 0)
 
 

@@ -110,6 +110,17 @@ class TestFKDeterminant:
         f = family_morphism(obj, obj, blocks)
         assert log_fk_det(f) == pytest.approx(0.0, abs=1e-3)
 
+    @pytest.mark.parametrize("lam", [1e6, 1e-6])
+    def test_det_outside_float_range_is_none(self, lam):
+        """log det = ±828.9 on 60 dimensions: exp overflows or underflows to
+        0.0, a zero determinant of an invertible map; neither is a value."""
+        obj = matrix_object(matrix_backend(), 60)
+        assert fk_det(scalar_morphism(obj, lam)) is None
+
+    def test_det_of_twice_the_identity(self):
+        obj = matrix_object(matrix_backend(), 1)
+        assert fk_det(scalar_morphism(obj, 2.0)) == pytest.approx(2.0, abs=1e-15)
+
 
 def _coker_sixteenth():
     """On 16 uniform samples: the 1 x 1 block 2 on 15 fibers and [2, 0]^T on

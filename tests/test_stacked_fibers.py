@@ -17,17 +17,18 @@ from hypothesis import strategies as st
 from l2torsion import backends
 from l2torsion.backends import (
     Fibers,
-    SubObject,
     align,
     compose,
     family_backend,
     family_morphism,
     family_object,
     fiber_svds,
+    hermitian,
     matrix_backend,
     matrix_morphism,
     matrix_object,
     partition,
+    subobject_from_std_frames,
     uniform_interval_samples,
 )
 from l2torsion.cellular import (
@@ -350,29 +351,36 @@ def _hstack(*parts):
 
 def _reference_parts(c, split, low):
     """Frames and compressed differentials of the small and the large part,
-    built frame by frame: columns cut per frame, frames stacked per degree,
-    each differential compressed between the two subobjects."""
+    built frame by frame in standardized coordinates: columns cut per
+    frame, frames stacked per degree, each standardized differential
+    compressed between the two frames. The frames come back as subobjects
+    of the C^i."""
     n = c.backend.n_fibers
     none = np.zeros(n, int)
     large = [none] + [v.select(~m).counts(n) for v, m in zip(split.singular, low)] + [none]
     parts = []
     for small in (True, False):
-        subs = []
-        for i, obj in enumerate(c.objects):
-            b, w = split.boundaries[i].frames, split.coexact[i].frames
+        frames = []
+        for i, (b, w) in enumerate(split.std_frames):
             if small:
-                frames = _hstack(split.harmonic[i].frames,
-                                 _columns(b, large[i], b.sizes(1)),
-                                 _columns(w, large[i + 1], w.sizes(1)))
+                frames.append(_hstack(split.std_harmonic[i],
+                                      _columns(b, large[i], b.sizes(1)),
+                                      _columns(w, large[i + 1], w.sizes(1))))
             else:
-                frames = _hstack(_columns(b, none, large[i]), _columns(w, none, large[i + 1]))
-            subs.append(SubObject(obj, frames))
-        diffs = [subs[i + 1].compress(d, subs[i]) for i, d in enumerate(c.diffs)]
+                frames.append(_hstack(_columns(b, none, large[i]),
+                                      _columns(w, none, large[i + 1])))
+        diffs = [Fibers([(idx, hermitian(v) @ (m @ u)) for idx, (v, m, u) in
+                         align(frames[i + 1], d.standardized_blocks(), frames[i])], n)
+                 for i, d in enumerate(c.diffs)]
+        subs = [subobject_from_std_frames(obj, f) for obj, f in zip(c.objects, frames)]
         parts.append((subs, diffs))
     return parts
 
 
 def _assert_parts_match(c, eps):
+    """The parts of ``split_complex`` equal the per-frame reference, and
+    their differentials are, within rounding, those that the subobjects
+    compress from C's own differentials."""
     small, large, small_subs, large_subs = split_complex(c, eps)
     split = hodge_split(c)
     low = [v.values ** 2 <= eps for v in split.singular]
@@ -384,9 +392,12 @@ def _assert_parts_match(c, eps):
             assert obj.dims == ref.space.dims == sub.space.dims
             for f in range(c.backend.n_fibers):
                 assert np.array_equal(sub.frames[f], ref.frames[f])
-        for d, ref in zip(part.diffs, ref_diffs):
+        for i, (d, ref) in enumerate(zip(part.diffs, ref_diffs)):
+            own = subs[i + 1].compress(c.diffs[i], subs[i])
             for f in range(c.backend.n_fibers):
-                assert np.array_equal(d.blocks[f], ref.blocks[f])
+                assert np.array_equal(d.blocks[f], ref[f])
+                size = max(1.0, float(np.linalg.norm(own.blocks[f])))
+                assert np.abs(d.blocks[f] - own.blocks[f]).max(initial=0.0) <= 1e-12 * size
     return small
 
 

@@ -305,6 +305,24 @@ class TestSequenceCheck:
         suite_exact_sequences(trials=9)
         assert len(calls) == 36
 
+    def test_builds_only_the_harmonic_subobjects(self, rng, monkeypatch):
+        """The epsilon split of L, M and N builds no subobject; only the
+        long exact sequence reads the harmonic part of each degree as one:
+        3 n subobjects for a sequence of length n."""
+        made = []
+        real = backends.SubObject.__post_init__
+
+        def counted(self):
+            made.append(self)
+            real(self)
+
+        monkeypatch.setattr(backends.SubObject, "__post_init__", counted)
+        for which in ("L", "N", "both"):
+            triple = random_exact_triple(rng, length=3, acyclic=which)
+            made.clear()
+            sequence_torsion_check(*triple)
+            assert len(made) == 3 * 3
+
     def test_builds_only_the_sections_it_reads(self, rng, monkeypatch):
         """The zig-zag of degree i reads the sections of beta_i and
         alpha_{i+1}: 2 (n - 1) sections for a sequence of length n."""
