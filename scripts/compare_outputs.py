@@ -26,7 +26,12 @@ records, for the checkout it lives in:
   ``_ragged_complex_with_cohomology`` of ``tests/test_sequence_factors.py``
   on 7 fibers; and for the exact triples of length 3 given products there
   (L, N or both acyclic), the reports of L, M and N and the deviation of
-  ``sequence_torsion_check``.
+  ``sequence_torsion_check``;
+- both ends of the fiber count: the torsion reports of the circle with
+  regular coefficients at grid 8 and 16384, of the ``e^(-1/x)`` complex of
+  ``family_grid`` on 8 and 16384 fibers with the sample permutation of seed
+  1, and of a two-object ``Matrix`` complex whose default epsilon leaves a
+  small part.
 
 The workloads are read from ``benchmark/workloads.py`` as they stand.
 Usage, from anywhere:
@@ -54,6 +59,7 @@ GROUP_SEEDS = (1, 3)
 SUITE_SEED, SUITE_ROUNDS = 2, 60
 CHECKS_RUNS = ((3, True), (7, False))  # (seed, fast) of run_all_suites
 PRODUCT_SEEDS = range(10)
+GRID_ENDS = (8, 16384)  # fiber counts of the circle and e^(-1/x) reports
 
 
 def _import_checkout():
@@ -160,6 +166,34 @@ def _with_products() -> dict:
     return out
 
 
+def _grid_ends() -> dict:
+    import numpy as np
+    from l2torsion import cellular as cel
+    from l2torsion.backends import (matrix_backend, matrix_morphism, matrix_object,
+                                    uniform_interval_samples)
+    from l2torsion.extcoh import ChainComplexC
+    from l2torsion.harness import family_multiplication_map
+    from l2torsion.serialize import dumps, report_to_json
+    from l2torsion.torsion import torsion
+
+    def report(c):
+        return dumps(report_to_json(torsion(c)))
+
+    out = {}
+    for n in GRID_ENDS:
+        circle = cel.cochain_complex(cel.circle_complex(), cel.circle_regular_representation(n))
+        out[f"ends/circle/{n}"] = report(circle)
+        samples = uniform_interval_samples(n)[np.random.default_rng(1).permutation(n)]
+        with np.errstate(over="ignore", under="ignore"):
+            d = family_multiplication_map(np.exp(-1.0 / samples[:, 0]), samples)
+        out[f"ends/divergent/{n}"] = report(ChainComplexC((d.source, d.target), (d,)))
+    backend = matrix_backend()
+    source, target = matrix_object(backend, 4), matrix_object(backend, 3)
+    d = matrix_morphism(source, target, np.random.default_rng(0).standard_normal((3, 4)))
+    out["ends/matrix(4->3)"] = report(ChainComplexC((source, target), (d,)))
+    return out
+
+
 def record() -> dict:
     workloads = _import_checkout()
     out = {}
@@ -179,6 +213,7 @@ def record() -> dict:
     out.update(_golden())
     out.update(_checks())
     out.update(_with_products())
+    out.update(_grid_ends())
     return out
 
 

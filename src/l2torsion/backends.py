@@ -28,6 +28,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Real
 from typing import Iterable
 
 import numpy as np
@@ -43,8 +44,8 @@ _COMPLEX = np.dtype(complex)
 
 
 def check_rank_tol(tol: float) -> None:
-    """Raise unless the relative rank cut tol lies in (0, 1); nan does not."""
-    if not 0.0 < tol < 1.0:
+    """Raise unless the relative rank cut tol is a real number in (0, 1)."""
+    if not (isinstance(tol, Real) and 0.0 < tol < 1.0):
         raise InputValidationError(f"the rank tolerance must lie in (0, 1), not {tol}")
 
 
@@ -413,7 +414,9 @@ def hermitian(stack: np.ndarray) -> np.ndarray:
 
 def frobenius(stack: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a stack, reduced with hypot, so it
-    neither overflows nor underflows."""
+    neither overflows nor underflows; a 1 x 1 matrix a has |a| = hypot(0, |a|)."""
+    if stack.shape[1:] == (1, 1):
+        return np.abs(stack[:, 0, 0])
     return np.hypot.reduce(np.abs(stack).reshape(len(stack), -1), axis=1, initial=0.0)
 
 
@@ -1065,7 +1068,11 @@ class FiberSVD:
         return float(np.dot(weights, dims - self.rank))
 
     def kept(self) -> FiberValues:
-        """The kept singular values, flat with their fibers."""
+        """The kept singular values, flat with their fibers; one group's are a
+        slice, with its own indices when it keeps one value per fiber."""
+        if len(self.groups) == 1:
+            idx, _, s, _, r = self.groups[0]
+            return FiberValues(s[:, :r].ravel(), idx if r == 1 else np.repeat(idx, r))
         return FiberValues(
             np.concatenate([np.zeros(0)] + [s[:, :r].ravel() for _, _, s, _, r in self.groups]),
             np.concatenate([np.zeros(0, np.intp)]
@@ -1132,7 +1139,8 @@ def fiber_svds(
         else:
             svd = np.linalg.svd(b, compute_uv=vectors)
             u, s, vh = svd if vectors else (None, svd, None)
-        cut = tol * np.maximum(s[:, 0], scale[idx] if scale.ndim else scale)
+        cut = tol * np.maximum(s[:, 0], scale[idx] if scale.ndim and len(idx) < blocks.n
+                               else scale)
         rank[idx] = ranks = np.where(cut > 0, np.count_nonzero(s > cut[:, None], axis=1), 0)
         for sel, r in partition(ranks):
             if len(sel) == len(idx):

@@ -49,7 +49,7 @@ from .errors import (
     UnsupportedCellError,
 )
 from .extcoh import ChainComplexC
-from .torsion import TorsionReport, torsion
+from .torsion import TorsionReport, check_sigma_log, torsion
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +523,7 @@ def combinatorial_torsion(
     result does not depend on the chosen cell lifts, and for Euler
     characteristic zero it does not depend on the volume element either.
     """
+    check_sigma_log(sigma_log)
     defect = rep.unimodular_defect()
     if defect >= 1e-8:
         raise NotUnimodularError(

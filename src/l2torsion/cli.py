@@ -36,7 +36,7 @@ from .cellular import (
 )
 from .errors import InputValidationError, L2TorsionError
 from .extcoh import cohomology
-from .harness import DEFAULT_SEED, run_all_suites
+from .harness import DEFAULT_SEED, check_seed, run_all_suites
 from .serialize import (
     cell_complex_from_json,
     cell_complex_to_json,
@@ -76,6 +76,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         check_rank_tol(self.tol_rank)
+        check_seed(self.seed)
         if self.grid is not None and self.grid < 8:
             raise InputValidationError("grid size must be at least 8")
         if self.epsilon is not None and not self.epsilon > 0:

@@ -9,6 +9,7 @@ command.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .backends import (
     scalar_morphism,
     uniform_interval_samples,
 )
-from .errors import L2TorsionError
+from .errors import InputValidationError, L2TorsionError
 from .extcoh import ChainComplexC
 from .spectral import (
     fk_det_extended,
@@ -45,6 +46,12 @@ from .torsion import (
 )
 
 DEFAULT_SEED = 7
+
+
+def check_seed(seed) -> None:
+    """Raise unless seed is a non-negative integer, as numpy's generators take."""
+    if not (isinstance(seed, Integral) and seed >= 0):
+        raise InputValidationError(f"the seed must be a non-negative integer, not {seed!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +415,7 @@ def suite_cones(seed: int = DEFAULT_SEED, trials: int = 100) -> dict:
 
 
 def run_all_suites(seed: int = DEFAULT_SEED, fast: bool = False) -> dict:
+    check_seed(seed)
     scale = 0.2 if fast else 1.0
     results = {
         "fk_laws": suite_fk_laws(seed, pairs=max(int(200 * scale), 20)),

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -186,16 +187,19 @@ class HodgeSplit:
                 for h, k in zip(self.harmonic_spaces, kernel)]
 
 
-def _laplacian_cut(singular: list, weights: np.ndarray, tol: float) -> list:
-    """Per differential d_i, the masks over its kept values s of whether
-    s^2 clears tol times the largest eigenvalue of Delta_i and of
+def _laplacian_cut(svds: list, singular: list, tol: float) -> list:
+    """Per differential d_i, the masks over its kept values s (``singular[i]``)
+    of whether s^2 clears tol times the largest eigenvalue of Delta_i and of
     Delta_{i+1} on the fiber of s (the largest s^2 of d_{i-1} and d_i, and
-    of d_i and d_{i+1}). The cut compares (s / largest s)^2 with tol, so
-    that it holds where s^2 overflows or underflows."""
-    top = [np.zeros(len(weights)) for _ in range(len(singular) + 1)]
-    for i, v in enumerate(singular):
-        for t in top[i:i + 2]:
-            np.maximum.at(t, v.fiber, v.values)
+    of d_i and d_{i+1}; that of d_i leads its group in ``svds[i]``). The cut
+    compares (s / largest s)^2 with tol, so that it holds where s^2
+    overflows or underflows."""
+    tops = [np.zeros(len(svd.rank)) for svd in svds]
+    for top, svd in zip(tops, svds):
+        for idx, _, s, _, r in svd.groups:
+            if r:
+                top[idx] = s[:, 0]
+    top = tops[:1] + [np.maximum(a, b) for a, b in zip(tops, tops[1:])] + tops[-1:]
     return [tuple((v.values / t[v.fiber]) ** 2 > tol for t in top[i:i + 2])
             for i, v in enumerate(singular)]
 
@@ -209,7 +213,7 @@ def hodge_split(c: ChainComplexC, tol: float = DEFAULT_RANK_TOL) -> HodgeSplit:
         split.singular.append(svd.kept())
         split.densities.append(SpectralDensity.from_fibers(split.singular[-1], split.weights))
         split.verdicts.append(classify_determinant(split.densities[-1]))
-    split.clear = _laplacian_cut(split.singular, split.weights, tol)
+    split.clear = _laplacian_cut(split.svds, split.singular, tol)
     return split
 
 
@@ -288,18 +292,22 @@ def _laplacian_torsion(std: list, dims: list, weights: np.ndarray, tol: float) -
 
     Delta_i = F_i^* F_i with F_i = [d_i; d_{i-1}^*] stacked, so
     log Det(Delta_i) is twice the weighted log sum of the kept singular
-    values of F_i (one values-only SVD per degree; nothing is squared or
-    sorted). Values at or below sqrt(tol) times the largest of their fiber
-    count as kernel: the cut tol * (largest eigenvalue) on Delta_i.
+    values of F_i (one values-only SVD per distinct factor; nothing is
+    squared or sorted). With one differential, F_0 = d_0 and F_1 = d_0^*
+    share their singular values, so one SVD serves both degrees. Values at
+    or below sqrt(tol) times the largest of their fiber count as kernel:
+    the cut tol * (largest eigenvalue) on Delta_i.
     """
-    total = 0.0
+    total, svd = 0.0, None
     for i, dim in enumerate(dims):
-        parts = std[i:i + 1] + [b.map(hermitian) for b in std[max(i - 1, 0):i]]
-        if parts:
-            f = Fibers([(idx, np.concatenate(st, axis=1)) for idx, st in align(*parts)],
-                       len(weights))
-            svd = fiber_svds(f, math.sqrt(tol), vectors=False)
-            kernel, log_det = svd.kernel_mass(weights, dim), svd.log_det(weights)
+        if i == 0 or len(std) > 1:  # one differential: F_1 = d_0^* has the values of F_0 = d_0
+            parts = std[i:i + 1] + [b.map(hermitian) for b in std[max(i - 1, 0):i]]
+            if len(parts) > 1:
+                parts = [Fibers([(idx, np.concatenate(st, axis=1)) for idx, st in align(*parts)],
+                                len(weights))]
+            svd = parts and fiber_svds(parts[0], math.sqrt(tol), vectors=False)
+        if svd:
+            kernel, log_det = svd.kernel_mass(weights, dim), svd.log_det(weights) if i else 0.0
         else:  # no adjacent differential: F_i has no rows and C^i is all kernel
             kernel, log_det = float(np.dot(weights, dim)), 0.0
         if kernel > 1e-8:
@@ -385,10 +393,11 @@ def _split_parts(c: ChainComplexC, split: HodgeSplit, low: list, small: bool = T
     for the small part), and every differential is compressed from its
     standardized blocks, with no product term. With ``small`` the stacks
     cover every fiber; without it they cover only the fibers ``fibers``
-    that hold a column of the large part, and no harmonic frame and no
-    stack of an empty large part is built. Those fibers are grouped once,
-    by the widths of every Hodge frame and by every cut. Within a group
-    every frame of both parts is a plain slice of the Hodge frames, and
+    that hold a column of the large part (all fibers as ``fiber_range``),
+    and no harmonic frame and no stack of an empty large part is built.
+    Those fibers are grouped once, by every cut and by the widths the parts
+    read. Within a group every frame of both parts is a plain slice of the
+    Hodge frames (one side's slice alone where the other is empty), and
     every compressed differential one batched product.
 
     Returns ``fibers``, the groups (arrays of positions in ``fibers``), the
@@ -403,11 +412,14 @@ def _split_parts(c: ChainComplexC, split: HodgeSplit, low: list, small: bool = T
     # d_{i-1}) and large[i + 1] those of W^i (values of d_i)
     large = [none] + [v.select(~m).counts(n) for v, m in zip(split.singular, low)] + [none]
     widths = [lb + lw for lb, lw in zip(large, large[1:])]
-    # one mixed-radix key over every width that is not all zero (one fiber
-    # needs none), below ``bound`` and renumbered densely before it could
-    # overflow
+    # one mixed-radix key over every width the parts read (the large part
+    # only the ranks, and the dimensions where they vary) that is not all
+    # zero (one fiber needs none), below ``bound`` and renumbered densely
+    # before it could overflow
+    read = ([x for ws in split.widths for x in ws] if small else [s.rank for s in split.svds]
+            + [o.dim_array for o in c.objects if o.uniform_dim is None])
     key, bound = none, 1
-    for width in ([x for ws in split.widths for x in ws] + large[1:-1] if n > 1 else ()):
+    for width in (read + large[1:-1] if n > 1 else ()):
         radix = int(width.max()) + 1
         if radix == 1:
             continue
@@ -418,18 +430,21 @@ def _split_parts(c: ChainComplexC, split: HodgeSplit, low: list, small: bool = T
     if small:
         fibers, harmonic = fiber_range(n), split.std_harmonic
     else:
-        fibers, harmonic = np.flatnonzero(np.any(widths, axis=0)), [None] * len(c.objects)
-        key, widths = key[fibers], [w[fibers] for w in widths]
+        held, harmonic = np.any(widths, axis=0), [None] * len(c.objects)
+        fibers = fiber_range(n) if held.all() else np.flatnonzero(held)
+        if len(fibers) < n:
+            key, widths = key[fibers], [w[fibers] for w in widths]
     maps = [d.standardized_blocks() for d in c.diffs]
     groups = [idx for idx, _ in partition(key)]
     # per part (large, then small) and degree, one stack per group of the
     # frames and of the compressed differentials
     frames, blocks = ([[[] for _ in xs] for _ in range(1 + small)] for xs in (harmonic, maps))
     for idx in groups:
-        at = fibers[idx]
+        at = fibers if len(idx) == len(fibers) else fibers[idx]
         for i, (h, (b, w), lb, lw) in enumerate(zip(harmonic, split.std_frames, large, large[1:])):
             bv, wv, kb, kw = b.take(at), w.take(at), lb[at[0]], lw[at[0]]
-            frames[0][i].append(np.concatenate([bv[:, :, :kb], wv[:, :, :kw]], axis=2))
+            frames[0][i].append(np.concatenate([bv[:, :, :kb], wv[:, :, :kw]], axis=2)
+                                if kb and kw else wv[:, :, :kw] if kw else bv[:, :, :kb])
             if small:
                 frames[1][i].append(
                     np.concatenate([h.take(at), bv[:, :, kb:], wv[:, :, kw:]], axis=2))
@@ -495,6 +510,12 @@ class TorsionReport:
         return all(v.convergent for v in self.detclass)
 
 
+def check_sigma_log(sigma_log) -> None:
+    """Raise unless the log-coefficient sigma_log is a finite real number."""
+    if not (isinstance(sigma_log, Real) and math.isfinite(sigma_log)):
+        raise InputValidationError(f"sigma_log must be a finite real number, not {sigma_log!r}")
+
+
 def torsion(
     c: ChainComplexC,
     sigma_log: float = 0.0,
@@ -528,8 +549,9 @@ def torsion(
     trivial: zero trace-Betti numbers and a Convergent certificate in every
     degree; and only when exp(log_coeff) is a finite, nonzero float.
     """
-    if epsilon is not None and not epsilon > 0.0:
-        raise InputValidationError("epsilon must be positive")
+    check_sigma_log(sigma_log)
+    if epsilon is not None and not (isinstance(epsilon, Real) and epsilon > 0.0):
+        raise InputValidationError(f"epsilon must be a positive real number, not {epsilon!r}")
     return _torsion(c, hodge_split(c, tol), sigma_log, epsilon, tol, out_prefix)
 
 

@@ -276,6 +276,13 @@ class TestChecksCommand:
         payload = _read(out / "checks.json")
         assert payload["results"]["passed"] is True
 
+    def test_negative_seed_is_rejected(self, tmp_path, caplog, capsys):
+        """--seed -1 exited 1 with numpy's ValueError traceback."""
+        assert main(["checks", "--seed", "-1", "--out", str(tmp_path / "run")]) == EXIT_INVALID
+        assert "seed" in caplog.text and "-1" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
 
 # the flags each command reads, and a value for every flag
 READS = {

@@ -52,7 +52,7 @@ from l2torsion.errors import (
     ShapeMismatchError,
 )
 from l2torsion.extcoh import ChainComplexC, cohomology, direct_sum_complexes
-from l2torsion.harness import family_multiplication_map
+from l2torsion.harness import family_multiplication_map, run_all_suites
 from l2torsion.serialize import (
     cell_complex_from_json,
     cell_complex_to_json,
@@ -530,3 +530,47 @@ def test_subdivision_depth_must_be_positive(depth):
 def test_group_order_needs_a_group_backend():
     with pytest.raises(BackendMismatchError):
         matrix_backend().group_order
+
+
+def _diag_complex():
+    """d = diag(1, 2) on a 2-dim Matrix object: acyclic, torsion 1/2."""
+    obj = matrix_object(matrix_backend(), 2)
+    return ChainComplexC((obj, obj), (matrix_morphism(obj, obj, np.diag([1.0, 2.0])),))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"sigma_log": math.nan},  # reported a NaN log-coefficient and Betti [0, 0]
+    {"sigma_log": math.inf},  # reported +inf
+    {"sigma_log": "1"},  # the three strings raised bare TypeErrors
+    {"epsilon": "1"},
+    {"tol": "1e-10"},
+])
+def test_torsion_arguments_must_be_real(kwargs):
+    with pytest.raises(InputValidationError):
+        torsion(_diag_complex(), **kwargs)
+
+
+@pytest.mark.parametrize("sigma_log", [math.nan, math.inf, "1"])
+def test_combinatorial_torsion_sigma_log_must_be_finite(sigma_log):
+    """The circle has Euler characteristic 0, so chi * inf was NaN and
+    chi * "1" the empty string."""
+    with pytest.raises(InputValidationError, match="sigma_log"):
+        combinatorial_torsion(circle_complex(), circle_unit_representation(-1.0),
+                              sigma_log=sigma_log)
+
+
+@pytest.mark.parametrize("sigma_log, log_coeff, scalar", [
+    (0.0, -0.6931471805599453, 0.5),
+    (-3.5, -4.193147180559945, 0.015098691711159249),
+])
+def test_finite_sigma_log_reports_as_before(sigma_log, log_coeff, scalar):
+    report = torsion(_diag_complex(), sigma_log=sigma_log)
+    assert report.combined.log_coeff == log_coeff and report.scalar_value == scalar
+    assert report.log_rho_large == -0.6931471805599453 and report.betti == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_run_all_suites_needs_a_nonnegative_integer_seed(seed):
+    """seed=-1 raised numpy's bare ValueError."""
+    with pytest.raises(InputValidationError, match="seed"):
+        run_all_suites(seed=seed, fast=True)
